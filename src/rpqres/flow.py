@@ -5,17 +5,26 @@ Infinity is ``math.inf``.  Parallel edges are kept apart: every edge has an
 index (its insertion position) and cuts are reported as index tuples.
 Capacities are Python integers, so sums cannot overflow.
 
-The algorithm is a level-graph blocking-flow search.  Before it runs, a
-reachability pass restricted to infinite edges decides whether any finite
-cut exists at all.  The returned cut is the set of saturated edges leaving
-the residual-reachable side, which is deterministic because adjacency
-lists follow insertion order.
+``min_cut`` first decides, by a reachability pass restricted to infinite
+edges, whether any finite cut exists at all.  It then interns the vertices
+to integers and runs Dinic's blocking-flow algorithm over flat arrays:
+edge ``k`` becomes the residual slots ``2k`` (forward) and ``2k + 1``
+(reverse), with one array of slot heads, one of residual capacities and
+one slot list per vertex.  Each phase builds a BFS level graph and finds
+a blocking flow by a depth-first search with an explicit path stack and
+a per-vertex slot pointer, so nothing recurses in proportion to path
+length.  Infinite capacities are replaced by one more than the sum of the
+finite ones, which no flow can saturate once no infinite path exists.
+
+The returned cut is the set of edges leaving the vertices reachable from
+the source in the final residual graph.  That set is the source side of
+the inclusion-minimal minimum cut, the same for every maximum flow, so
+the cut does not depend on the order in which augmenting paths are found.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -55,13 +64,6 @@ class FlowNetwork:
         self.edges.append(Edge(tail, head, capacity))
         return len(self.edges) - 1
 
-    def vertices(self) -> set:
-        seen = {self.source, self.target}
-        for e in self.edges:
-            seen.add(e.tail)
-            seen.add(e.head)
-        return seen
-
     def dump(self) -> str:
         lines = [f"source {self.source}", f"target {self.target}"]
         for e in self.edges:
@@ -97,68 +99,93 @@ def min_cut(network: FlowNetwork) -> CutResult:
     if _reaches(infinite_adj, network.source, network.target):
         return CutResult(INF, ())
 
-    # residual slots in pairs: forward 2k, reverse 2k+1
-    adjacency: dict = {}
-    slots: list = []
-    for index, e in enumerate(network.edges):
-        adjacency.setdefault(e.tail, []).append(len(slots))
-        slots.append([e.head, e.capacity])
-        adjacency.setdefault(e.head, []).append(len(slots))
-        slots.append([e.tail, 0])
+    # vertex ids: source 0, target 1; slot 2k is edge k, slot 2k + 1 its reverse
+    index = {network.source: 0, network.target: 1}
+    ends: list[int] = []
+    cap: list[int] = []
+    finite_total = 0
+    for e in network.edges:
+        ends.append(index.setdefault(e.head, len(index)))
+        ends.append(index.setdefault(e.tail, len(index)))
+        if e.capacity != INF:
+            finite_total += e.capacity
+    unbounded = finite_total + 1
+    for e in network.edges:
+        cap.append(unbounded if e.capacity == INF else e.capacity)
+        cap.append(0)
+    n = len(index)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for slot in range(0, len(ends), 2):
+        out[ends[slot + 1]].append(slot)
+        out[ends[slot]].append(slot + 1)
 
-    source, target = network.source, network.target
-    flow = 0
+    value = 0
     while True:
-        level = {source: 0}
-        queue = [source]
+        level = [-1] * n
+        level[0] = 0
+        queue = [0]
         for v in queue:
-            for sid in adjacency.get(v, ()):
-                head, cap = slots[sid]
-                if cap > 0 and head not in level:
-                    level[head] = level[v] + 1
-                    queue.append(head)
-        if target not in level:
+            below = level[v] + 1
+            for slot in out[v]:
+                w = ends[slot]
+                if cap[slot] and level[w] < 0:
+                    level[w] = below
+                    queue.append(w)
+        if level[1] < 0:
             break
 
-        pointer: dict = defaultdict(int)
-
-        def push(v, available):
-            if v == target:
-                return available
-            out = adjacency.get(v, ())
-            while pointer[v] < len(out):
-                sid = out[pointer[v]]
-                head, cap = slots[sid]
-                if cap > 0 and level.get(head) == level[v] + 1:
-                    sent = push(head, min(available, cap))
-                    if sent:
-                        slots[sid][1] -= sent
-                        slots[sid ^ 1][1] += sent
-                        return sent
-                pointer[v] += 1
-            return 0
-
+        pointer = [0] * n
+        path: list[int] = []  # slots from the source to v
+        v = 0
         while True:
-            sent = push(source, INF)
-            if not sent:
+            if v == 1:
+                sent = min(cap[slot] for slot in path)
+                value += sent
+                for slot in path:
+                    cap[slot] -= sent
+                    cap[slot ^ 1] += sent
+                # resume from the tail of the first saturated slot
+                for i, slot in enumerate(path):
+                    if not cap[slot]:
+                        break
+                del path[i:]
+                v = ends[path[-1]] if path else 0
+                continue
+            slots = out[v]
+            below = level[v] + 1
+            i = pointer[v]
+            while i < len(slots):
+                slot = slots[i]
+                if cap[slot] and level[ends[slot]] == below:
+                    break
+                i += 1
+            pointer[v] = i
+            if i < len(slots):
+                path.append(slot)
+                v = ends[slot]
+            elif path:
+                # no blocking path leaves v in this phase
+                level[v] = -1
+                v = ends[path.pop() ^ 1]
+                pointer[v] += 1
+            else:
                 break
-            flow += sent
 
-    reachable = {source}
-    stack = [source]
+    reachable = [False] * n
+    reachable[0] = True
+    stack = [0]
     while stack:
-        v = stack.pop()
-        for sid in adjacency.get(v, ()):
-            head, cap = slots[sid]
-            if cap > 0 and head not in reachable:
-                reachable.add(head)
-                stack.append(head)
+        for slot in out[stack.pop()]:
+            w = ends[slot]
+            if cap[slot] and not reachable[w]:
+                reachable[w] = True
+                stack.append(w)
     cut = tuple(
-        index
-        for index, e in enumerate(network.edges)
-        if e.tail in reachable and e.head not in reachable
+        k
+        for k in range(len(network.edges))
+        if reachable[ends[2 * k + 1]] and not reachable[ends[2 * k]]
     )
-    return CutResult(flow, cut)
+    return CutResult(value, cut)
 
 
 def check_cut(network: FlowNetwork, edge_indices: Iterable[int]) -> bool:

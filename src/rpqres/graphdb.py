@@ -13,7 +13,7 @@ time.  Sums computed later use Python integers, which do not overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import automata
@@ -62,16 +62,13 @@ class GraphDB:
         return tuple(f for f, _ in self.entries)
 
     def mult(self, fact: Fact) -> int:
-        for f, m in self.entries:
-            if f == fact:
-                return m
-        raise KeyError(fact)
+        return self._mults[fact]
 
     def mult_map(self) -> dict[Fact, int]:
         return dict(self.entries)
 
     def adom(self) -> frozenset[str]:
-        return _adom(self)
+        return self._adom
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
@@ -84,10 +81,26 @@ class GraphDB:
         return GraphDB(tuple((f, 1) for f, _ in self.entries))
 
     def __contains__(self, fact: Fact) -> bool:
-        return any(f == fact for f, _ in self.entries)
+        return fact in self._mults
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    # Lazy per-instance caches: built on first use, so constructing a
+    # database (parsing, ``without``) never pays for them, and dropped
+    # together with the database.
+
+    @cached_property
+    def _mults(self) -> dict[Fact, int]:
+        return dict(self.entries)
+
+    @cached_property
+    def _adom(self) -> frozenset[str]:
+        nodes = set()
+        for (tail, _, head), _ in self.entries:
+            nodes.add(tail)
+            nodes.add(head)
+        return frozenset(nodes)
 
 
 def mirror_db(db: GraphDB) -> GraphDB:
@@ -95,15 +108,6 @@ def mirror_db(db: GraphDB) -> GraphDB:
     return GraphDB.from_pairs(
         (Fact(f.head, f.label, f.tail), m) for f, m in db.entries
     )
-
-
-@lru_cache(maxsize=4096)
-def _adom(db: GraphDB) -> frozenset[str]:
-    nodes = set()
-    for (tail, _, head), _ in db.entries:
-        nodes.add(tail)
-        nodes.add(head)
-    return frozenset(nodes)
 
 
 # ---------------------------------------------------------------------------

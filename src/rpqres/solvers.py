@@ -95,63 +95,147 @@ def resilience_exact(
 
 
 # ---------------------------------------------------------------------------
+# product networks
+
+
+def _reach(adjacency: dict, seeds) -> set:
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for w in adjacency.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _product_network(fact_arcs, unbounded_arcs, sources, targets):
+    """The flow network of a product of the database with a language.
+
+    ``fact_arcs`` are ``(tail, head, fact, mult)`` tuples, one
+    capacity-mult edge per fact; ``unbounded_arcs`` are ``(tail, head)``
+    pairs; ``sources`` and ``targets`` are the vertices attached, by
+    unbounded edges, from the network's source and to its target.  Returns
+    the network and a map from edge index to fact.
+
+    Only vertices forward-reachable from a source attachment and
+    backward-reachable to a target attachment are added, so every edge
+    lies on a source-target path.  Pruning keeps the answer: the flow runs
+    along such paths only, and the source side of the inclusion-minimal
+    minimum cut loses only vertices that no cut edge touches.
+    """
+    succ: dict = {}
+    pred: dict = {}
+    for tail, head, _, _ in fact_arcs:
+        succ.setdefault(tail, []).append(head)
+        pred.setdefault(head, []).append(tail)
+    for tail, head in unbounded_arcs:
+        succ.setdefault(tail, []).append(head)
+        pred.setdefault(head, []).append(tail)
+    useful = _reach(succ, sources) & _reach(pred, targets)
+
+    net = flow.FlowNetwork("source", "target")
+    tag = {}
+    for v in sources:
+        if v in useful:
+            net.add_edge("source", v, INF)
+    for tail, head, fact, m in fact_arcs:
+        if tail in useful and head in useful:
+            tag[net.add_edge(tail, head, m)] = fact
+    for tail, head in unbounded_arcs:
+        if tail in useful and head in useful:
+            net.add_edge(tail, head, INF)
+    for v in targets:
+        if v in useful:
+            net.add_edge(v, "target", INF)
+    return net, tag
+
+
+# ---------------------------------------------------------------------------
 # local languages: min cut in the product network
+
+
+@dataclass(frozen=True)
+class ReadOnceMap:
+    """The language side of the local solver: the read-once form of a
+    local language without the empty word.
+
+    Each letter has one transition, ``letter_arc[letter] = (src, dst)``;
+    ``follow`` lists the epsilon successors of a state.  In the read-once
+    form every epsilon transition leads from a letter's out-state to a
+    letter's in-state, so epsilon moves never chain.
+    """
+
+    letter_arc: dict
+    follow: dict
+    initial: frozenset
+    final: frozenset
+
+
+def read_once_map(A: EpsNFA) -> ReadOnceMap:
+    """The read-once map of an automaton for a local language that does
+    not contain the empty word."""
+    ro = automata.trim(automata.eps_nfa_to_ro(A))
+    letter_arc = {}
+    follow: dict = {}
+    for src, label, dst in sorted(ro.transitions, key=str):
+        if label is None:
+            follow.setdefault(src, []).append(dst)
+        else:
+            letter_arc[label] = (src, dst)
+    return ReadOnceMap(letter_arc, follow, ro.initial, ro.final)
 
 
 def resilience_local(
     db: GraphDB,
-    language: LanguageSpec,
+    language: Union[LanguageSpec, ReadOnceMap],
     *,
     promise_local: bool = False,
     state_cap: int = automata.DEFAULT_STATE_CAP,
 ) -> ResilienceAnswer:
     """Min-cut solver for local languages.
 
-    The network pairs every database node with every state of the
-    read-once form of the automaton.  Each fact yields one capacity-mult
-    edge along the unique transition carrying its label; epsilon
-    transitions, source attachments to initial states and target
-    attachments from final states are unbounded.  Cutting an edge set
-    disconnecting source from target is exactly removing a fact set that
-    breaks every accepted walk.
+    The network pairs database nodes with states of the read-once form of
+    the automaton.  Each fact yields one capacity-mult edge along the
+    unique transition carrying its label; epsilon transitions, source
+    attachments to initial states and target attachments from final
+    states are unbounded.  Cutting an edge set disconnecting source from
+    target is exactly removing a fact set that breaks every accepted walk.
+    Only pairs touched by a fact edge can lie on a source-target path, so
+    no others are built.  A precomputed ``ReadOnceMap`` is taken as
+    promised local.
     """
-    A = automata.automaton_for(language)
-    if _accepts_epsilon(A):
-        return ResilienceAnswer(INF, None, "local")
-    if not promise_local and not automata.is_local_language(A, state_cap):
-        raise SolverRefusal(
-            "the language is not local, so the read-once reduction"
-            " would overapproximate it"
-        )
-    ro = automata.trim(automata.eps_nfa_to_ro(A))
-    nodes = sorted(db.adom())
+    if isinstance(language, ReadOnceMap):
+        ro = language
+    else:
+        A = automata.automaton_for(language)
+        if _accepts_epsilon(A):
+            return ResilienceAnswer(INF, None, "local")
+        if not promise_local and not automata.is_local_language(A, state_cap):
+            raise SolverRefusal(
+                "the language is not local, so the read-once reduction"
+                " would overapproximate it"
+            )
+        ro = read_once_map(A)
 
-    letter_edge = {}
-    eps_edges = []
-    for src, label, dst in sorted(ro.transitions, key=str):
-        if label is None:
-            eps_edges.append((src, dst))
-        else:
-            letter_edge[label] = (src, dst)
-
-    net = flow.FlowNetwork("source", "target")
-    tag = {}
+    fact_arcs = []
     for fact, m in db.entries:
-        hit = letter_edge.get(fact.label)
-        if hit is None:
-            continue
-        src, dst = hit
-        tag[net.add_edge((fact.tail, src), (fact.head, dst), m)] = fact
-    for src, dst in eps_edges:
-        for v in nodes:
-            net.add_edge((v, src), (v, dst), INF)
-    for s in sorted(ro.initial, key=str):
-        for v in nodes:
-            net.add_edge("source", (v, s), INF)
-    for s in sorted(ro.final, key=str):
-        for v in nodes:
-            net.add_edge((v, s), "target", INF)
-
+        hit = ro.letter_arc.get(fact.label)
+        if hit is not None:
+            fact_arcs.append(((fact.tail, hit[0]), (fact.head, hit[1]), fact, m))
+    ends = dict.fromkeys(v for tail, head, _, _ in fact_arcs for v in (tail, head))
+    unbounded_arcs = [
+        ((node, state), (node, nxt))
+        for node, state in ends
+        for nxt in ro.follow.get(state, ())
+        if (node, nxt) in ends
+    ]
+    net, tag = _product_network(
+        fact_arcs,
+        unbounded_arcs,
+        [v for v in ends if v[1] in ro.initial],
+        [v for v in ends if v[1] in ro.final],
+    )
     cut = flow.min_cut(net)
     # every source-target path crosses a fact edge, so the cut is finite
     assert not math.isinf(cut.value)
@@ -364,39 +448,41 @@ def resilience_bcl(
     singles = {w[0] for w in words if len(w) == 1}
     forced = frozenset(f for f in db.facts() if f.label in singles)
     forced_cost = sum(db.mult(f) for f in forced)
-    rest = db.without(forced)
     long_words = sorted(w for w in words if len(w) >= 2)
     if not long_words:
         return ResilienceAnswer(forced_cost, forced, "bcl")
 
     source_side, _ = analysis.bipartition
-    net = flow.FlowNetwork("source", "target")
-    tag = {}
+    long_labels = {letter for w in long_words for letter in w}
+    fact_arcs = []
     by_label: dict = {}
     by_label_tail: dict = {}
-    for fact, m in rest.entries:
-        tag[net.add_edge(("start", fact), ("end", fact), m)] = fact
-        by_label.setdefault(fact.label, []).append(fact)
-        by_label_tail.setdefault((fact.label, fact.tail), []).append(fact)
+    for fact, m in db.entries:
+        if fact.label in long_labels and fact.label not in singles:
+            fact_arcs.append((("start", fact), ("end", fact), fact, m))
+            by_label.setdefault(fact.label, []).append(fact)
+            by_label_tail.setdefault((fact.label, fact.tail), []).append(fact)
 
+    unbounded_arcs = []
     for w in long_words:
         forward = w[0] in source_side
         for x, y in zip(w, w[1:]):
             for f in by_label.get(x, ()):
                 for g in by_label_tail.get((y, f.head), ()):
                     if forward:
-                        net.add_edge(("end", f), ("start", g), INF)
+                        unbounded_arcs.append((("end", f), ("start", g)))
                     else:
-                        net.add_edge(("end", g), ("start", f), INF)
+                        unbounded_arcs.append((("end", g), ("start", f)))
 
-    endpoint_letters = {w[0] for w in long_words} | {w[-1] for w in long_words}
-    for letter in sorted(endpoint_letters):
-        for f in by_label.get(letter, ()):
-            if letter in source_side:
-                net.add_edge("source", ("start", f), INF)
-            else:
-                net.add_edge(("end", f), "target", INF)
-
+    endpoint_letters = sorted({w[0] for w in long_words} | {w[-1] for w in long_words})
+    net, tag = _product_network(
+        fact_arcs,
+        unbounded_arcs,
+        [("start", f) for a in endpoint_letters if a in source_side
+         for f in by_label.get(a, ())],
+        [("end", f) for a in endpoint_letters if a not in source_side
+         for f in by_label.get(a, ())],
+    )
     cut = flow.min_cut(net)
     assert not math.isinf(cut.value)
     contingency = forced | frozenset(tag[i] for i in cut.edge_indices)
@@ -450,19 +536,15 @@ def resilience_submod(
             f" of {z_cap}"
         )
     forced_in = frozenset(v for v in db.adom() if incoming.get(v, 0) == 0)
-    alpha = automata.words_to_nfa({word})
+    last_facts = [f for f in db.facts() if f.label == a_last]
+    alpha = read_once_map(automata.words_to_nfa({word}))
 
     best = None
     for size in range(len(z_star) + 1):
         for chosen in itertools.combinations(z_star, size):
             zone = forced_in | set(chosen)
-            dropped = frozenset(
-                f for f in db.facts() if f.label == a_last and f.tail in zone
-            )
-            sub = resilience_local(
-                db.without(dropped), alpha,
-                promise_local=True, state_cap=state_cap,
-            )
+            dropped = frozenset(f for f in last_facts if f.tail in zone)
+            sub = resilience_local(db.without(dropped), alpha)
             total = (
                 sum(incoming[v] for v in chosen)
                 + sum(outgoing[v] for v in z_star if v not in chosen)

@@ -91,6 +91,23 @@ def test_resilience_json(tmp_path):
     }
 
 
+def test_resilience_long_chain():
+    # 100,000 facts along one path, the cheapest at position 61,803
+    labels = ["a"] + ["x"] * 99_998 + ["b"]
+    text = "".join(
+        f"c{i} {label} c{i + 1} {3 if i == 61_803 else 4 + i % 89}\n"
+        for i, label in enumerate(labels)
+    )
+    result = run("resilience", "--json", "ax*b", "-", stdin=text)
+    assert result.exception is None
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {
+        "value": 3,
+        "method": "local",
+        "contingency": [["c61803", "x", "c61804"]],
+    }
+
+
 def test_resilience_set_flag(tmp_path):
     db = tmp_path / "m.db"
     write(db, "u a v 9\nv b w 5\n")

@@ -45,6 +45,16 @@ def test_infinite_edge_is_never_cut():
     assert set(cut.edge_indices) == {1, 2}
 
 
+def test_cut_side_follows_reverse_residual_edges():
+    # the shortest path s-w-v-t saturates s-w, yet w stays on the source
+    # side, reached back along w-v, so v-t alone is cut
+    net = network_of(
+        [("s", "w", 1), ("w", "v", 1), ("v", "t", 1),
+         ("s", "x", 5), ("x", "y", 5), ("y", "v", 5)]
+    )
+    assert flow.min_cut(net) == flow.CutResult(1, (2,))
+
+
 def test_parallel_edges_add_up():
     net = network_of([("s", "t", 1), ("s", "t", 2)])
     assert flow.min_cut(net).value == 3
@@ -102,6 +112,69 @@ def test_min_cut_matches_bruteforce():
             # the returned indices really are a cut of the stated weight
             assert flow.check_cut(net, cut.edge_indices)
             assert sum(edges[i][2] for i in cut.edge_indices) == cut.value
+
+
+def test_long_path_does_not_recurse():
+    # one augmenting path 50,000 edges long: no recursion along it
+    caps = [5 + (i * 31) % 1000 for i in range(50_000)]
+    caps[31_337] = 3
+    nodes = ["s", *range(1, 50_000), "t"]
+    cut = flow.min_cut(network_of(zip(nodes, nodes[1:], caps)))
+    assert cut.value == 3
+    assert cut.edge_indices == (31_337,)
+
+
+def residual_side(nx, edges, source, target):
+    """networkx's max-flow value and the vertices its residual graph
+    reaches from the source; parallel edges are merged first."""
+    G = nx.DiGraph()
+    for tail, head, cap in edges:
+        if G.has_edge(tail, head):
+            G[tail][head]["capacity"] += cap
+        else:
+            G.add_edge(tail, head, capacity=cap)
+    G.add_nodes_from((source, target))
+    value, flows = nx.maximum_flow(G, source, target)
+    reached = {source}
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        nxt = [v for v in G.successors(u) if G[u][v]["capacity"] > flows[u][v]]
+        nxt += [v for v in G.predecessors(u) if flows[v][u] > 0]
+        for v in nxt:
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return value, reached
+
+
+def test_min_cut_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    nodes = ["s", "t"] + [f"v{i}" for i in range(40)]
+    finite = 0
+    for _ in range(25):
+        edges = []
+        while len(edges) < 200:
+            tail, head = rng.sample(nodes, 2)
+            cap = flow.INF if rng.random() < 0.05 else rng.randint(1, 9)
+            edges.append((tail, head, cap))
+            if rng.random() < 0.1:
+                edges.append((tail, head, rng.randint(1, 9)))
+        cut = flow.min_cut(network_of(edges))
+        try:
+            value, reached = residual_side(nx, edges, "s", "t")
+        except nx.NetworkXUnbounded:
+            assert math.isinf(cut.value)
+            continue
+        finite += 1
+        assert cut.value == value
+        assert cut.edge_indices == tuple(
+            i
+            for i, (tail, head, _) in enumerate(edges)
+            if tail in reached and head not in reached
+        )
+    assert finite >= 15
 
 
 def test_min_cut_deterministic():

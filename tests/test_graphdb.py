@@ -42,6 +42,16 @@ def test_basic_accessors():
     assert Fact("v", "b", "w") in db
 
 
+def test_lookup_maps_are_built_on_first_use():
+    db = graphdb.parse_db("u a v 2\nv b w\n")
+    rest = db.without([Fact("v", "b", "w")])
+    # parsing and deriving databases leave the lookup maps unbuilt
+    assert not {"_mults", "_adom"} & (vars(db).keys() | vars(rest).keys())
+    assert Fact("u", "a", "v") in rest
+    assert rest.mult(Fact("u", "a", "v")) == 2
+    assert "_mults" in vars(rest)
+
+
 def test_without_and_unit():
     db = db_of(("u", "a", "v"), ("v", "b", "w"), mults=(2, 5))
     rest = db.without([Fact("u", "a", "v")])

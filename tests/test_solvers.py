@@ -6,13 +6,15 @@ their own (the contingency really falsifies the query at the stated
 cost).
 """
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
 import oracles
-from rpqres import graphdb, solvers
+from rpqres import flow, graphdb, solvers
 from rpqres.automata import automaton_for, minimize, words_to_nfa
 from rpqres.errors import InputError, ResourceCapError, SolverRefusal
 from rpqres.graphdb import Fact, GraphDB
@@ -126,6 +128,110 @@ def test_local_matches_exact():
             want = solvers.resilience_exact(db, spec)
             assert got.value == want.value, (spec, db.entries)
             check_answer(db, spec, got)
+
+
+def chain_text(length, low_at):
+    """An a x...x b chain whose multiplicities are all above 3 except for
+    the fact at position low_at, which has 3."""
+    labels = ["a"] + ["x"] * (length - 2) + ["b"]
+    return "".join(
+        f"c{i} {label} c{i + 1} {3 if i == low_at else 4 + i % 89}\n"
+        for i, label in enumerate(labels)
+    )
+
+
+def test_local_long_chain():
+    db = graphdb.parse_db(chain_text(100_000, 61_803))
+    answer = solvers.resilience(db, "ax*b")
+    assert answer.value == 3
+    assert answer.contingency == {Fact("c61803", "x", "c61804")}
+
+
+# ---------------------------------------------------------------------------
+# pruned product networks
+
+PRUNED_CASES = {  # language: (letters, solver the dispatcher picks)
+    "ax*b": ("abx", "local"),
+    "a(b|c)*d": ("abcd", "local"),
+    "ab|bc": ("abc", "bcl"),
+    "abc|cd": ("abcd", "bcl"),
+    "abc|be": ("abce", "submod"),
+}
+
+
+def with_unused_labels(rng, db, count=15):
+    """The database plus facts on labels no tested language uses, on its
+    own nodes and on fresh ones."""
+    nodes = sorted(db.adom()) + ["f0", "f1", "f2"]
+    pool = dict(db.entries)
+    for _ in range(count):
+        fact = Fact(rng.choice(nodes), rng.choice("yz"), rng.choice(nodes))
+        pool.setdefault(fact, rng.randint(1, 3))
+    return GraphDB.from_pairs(pool)
+
+
+@pytest.mark.parametrize("language", sorted(PRUNED_CASES))
+def test_unused_labels_change_no_answer(language):
+    letters, method = PRUNED_CASES[language]
+    rng = random.Random(language)
+    for _ in range(15):
+        db = random_db(rng, letters, max_facts=24, max_nodes=8)
+        plain = solvers.resilience(db, language)
+        noisy = solvers.resilience(with_unused_labels(rng, db), language)
+        assert plain.method == method
+        assert (noisy.value, noisy.contingency) == (plain.value, plain.contingency)
+
+
+def on_some_path(net) -> set:
+    forward: dict = {}
+    backward: dict = {}
+    for e in net.edges:
+        forward.setdefault(e.tail, []).append(e.head)
+        backward.setdefault(e.head, []).append(e.tail)
+
+    def reach(adjacency, start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adjacency.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    return reach(forward, net.source) & reach(backward, net.target)
+
+
+@pytest.mark.parametrize("language", sorted(PRUNED_CASES))
+def test_networks_hold_only_useful_vertices(language, monkeypatch):
+    networks = []
+    real_min_cut = flow.min_cut
+
+    def capture(net):
+        networks.append(net)
+        return real_min_cut(net)
+
+    monkeypatch.setattr(flow, "min_cut", capture)
+    letters, _ = PRUNED_CASES[language]
+    rng = random.Random(language)
+    for _ in range(10):
+        db = random_db(rng, letters, max_facts=24, max_nodes=8)
+        solvers.resilience(with_unused_labels(rng, db), language)
+    assert networks
+    for net in networks:
+        vertices = {v for e in net.edges for v in (e.tail, e.head)}
+        assert vertices <= on_some_path(net)
+
+
+def test_databases_are_not_kept_alive():
+    db = graphdb.parse_db(
+        "u a v\nv b w\nw c x\nw e y\np a q\nq b r\nr e s\nr c t\n"
+    )
+    ref = weakref.ref(db)
+    assert solvers.resilience(db, "abc|be").method == "submod"
+    del db
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------
