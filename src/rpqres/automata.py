@@ -652,18 +652,6 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
     )
 
 
-def is_local_dfa(A: EpsNFA) -> bool:
-    """Syntactic test: all transitions on a letter share one target state."""
-    if not is_deterministic(A):
-        raise InputError("is_local_dfa requires a deterministic automaton")
-    target: dict = {}
-    for _, label, dst in A.transitions:
-        if label in target and target[label] != dst:
-            return False
-        target[label] = dst
-    return True
-
-
 def is_local_language(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether L(A) is a local language.
 
@@ -709,10 +697,6 @@ def is_letter_cartesian_finite(language: Iterable[Word]) -> bool:
 
 # ---------------------------------------------------------------------------
 # reduction of regular languages
-
-
-def _sigma_once(alphabet) -> EpsNFA:
-    return make_nfa((0, 1), (0,), (1,), ((0, a, 1) for a in alphabet), alphabet)
 
 
 def _sigma_star(alphabet) -> EpsNFA:

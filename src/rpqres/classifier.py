@@ -404,6 +404,49 @@ def _bounded_four_legged(
     )
 
 
+class Analysis(NamedTuple):
+    """One pass over a language, shared by the verdict and the solvers.
+
+    ``reduced`` is the DFA of the reduced language.  ``words`` is its word
+    set, enumerated only for a finite language that is not local.  A
+    resource cap leaves both None.
+    """
+
+    verdict: Verdict
+    reduced: Optional[EpsNFA]
+    words: Optional[frozenset]
+
+
+def analyse(
+    spec,
+    *,
+    state_cap: int = automata.DEFAULT_STATE_CAP,
+    monoid_cap: int = automata.DEFAULT_MONOID_CAP,
+    leg_cap: int = DEFAULT_LEG_CAP,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> Analysis:
+    """Reduce the language once and walk the criteria over the result."""
+    A = automata.automaton_for(spec)
+    try:
+        reduced = automata.reduce_regular(A, state_cap)
+        if automata.is_local_language(reduced, state_cap):
+            verdict = Verdict(PTIME, "local", "local language", None)
+            return Analysis(verdict, reduced, None)
+        if automata.is_finite_language(reduced):
+            words = frozenset(
+                automata.language_words(reduced, max_words=enum_cap,
+                                        state_cap=state_cap)
+            )
+            return Analysis(_finite_verdict(words), reduced, words)
+        verdict = _infinite_verdict(
+            A, reduced, state_cap, monoid_cap, leg_cap, enum_cap
+        )
+        return Analysis(verdict, reduced, None)
+    except ResourceCapError as exc:
+        verdict = Verdict(UNKNOWN, None, f"resource cap: {exc}", None)
+        return Analysis(verdict, None, None)
+
+
 def classify(
     spec,
     *,
@@ -413,19 +456,7 @@ def classify(
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Verdict:
     """Full pipeline over a regex string, Regex, word set, or automaton."""
-    A = automata.automaton_for(spec)
-    try:
-        reduced = automata.reduce_regular(A, state_cap)
-        if automata.is_local_language(reduced, state_cap):
-            return Verdict(PTIME, "local", "local language", None)
-        if automata.is_finite_language(reduced):
-            words = frozenset(
-                automata.language_words(reduced, max_words=enum_cap,
-                                        state_cap=state_cap)
-            )
-            return _finite_verdict(words)
-        return _infinite_verdict(
-            A, reduced, state_cap, monoid_cap, leg_cap, enum_cap
-        )
-    except ResourceCapError as exc:
-        return Verdict(UNKNOWN, None, f"resource cap: {exc}", None)
+    return analyse(
+        spec, state_cap=state_cap, monoid_cap=monoid_cap, leg_cap=leg_cap,
+        enum_cap=enum_cap,
+    ).verdict

@@ -128,10 +128,6 @@ def reduce_finite(language: Iterable[Word]) -> FiniteLanguage:
     )
 
 
-def mirror_word(word: Word) -> Word:
-    return word[::-1]
-
-
 def mirror_finite(language: Iterable[Word]) -> FiniteLanguage:
     return frozenset(w[::-1] for w in language)
 
@@ -293,76 +289,57 @@ def _tokenize_regex(text: str) -> list[_Token]:
     return tokens
 
 
-_ATOM_STARTERS = frozenset(("letter", "epsilon", "empty", "("))
-
-
-class _RegexParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize_regex(text)
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def parse_union(self) -> Regex:
-        parts = [self.parse_concat()]
-        while self.peek().kind == "|":
-            self.advance()
-            parts.append(self.parse_concat())
-        return parts[0] if len(parts) == 1 else RUnion(tuple(parts))
-
-    def parse_concat(self) -> Regex:
-        parts = []
-        while self.peek().kind in _ATOM_STARTERS:
-            parts.append(self.parse_postfix())
-        if not parts:
-            tok = self.peek()
-            raise InputError(f"regex: expected an expression at position {tok.pos}")
-        return parts[0] if len(parts) == 1 else RConcat(tuple(parts))
-
-    def parse_postfix(self) -> Regex:
-        node = self.parse_atom()
-        while self.peek().kind == "*":
-            self.advance()
-            node = RStar(node)
-        return node
-
-    def parse_atom(self) -> Regex:
-        tok = self.advance()
-        if tok.kind == "letter":
-            return RLetter(tok.value)
-        if tok.kind == "epsilon":
-            return REpsilon()
-        if tok.kind == "empty":
-            return REmpty()
-        if tok.kind == "(":
-            inner = self.parse_union()
-            closing = self.advance()
-            if closing.kind != ")":
-                raise InputError(f"regex: expected ')' at position {closing.pos}")
-            return inner
-        raise InputError(f"regex: unexpected {tok.value!r} at position {tok.pos}")
-
-
 def parse_regex(text: str) -> Regex:
     """Parse the dialect described in the module docstring.
+
+    Parentheses are matched with an explicit stack, so nesting depth is
+    not bounded by the interpreter's recursion limit.  ``X**`` parses as
+    ``X*``: stars never nest.
 
     >>> parse_regex("ab|c") == RUnion((RConcat((RLetter("a"), RLetter("b"))), RLetter("c")))
     True
     """
-    parser = _RegexParser(text)
-    node = parser.parse_union()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise InputError(
-            f"regex: unexpected {trailing.value!r} at position {trailing.pos}"
-        )
-    return node
+    # one frame per open '(' plus the outermost: the alternatives finished
+    # so far and the parts of the concatenation being read
+    frames: list[tuple[list[Regex], list[Regex]]] = [([], [])]
+    for tok in _tokenize_regex(text):
+        alternatives, parts = frames[-1]
+        if tok.kind == "letter":
+            parts.append(RLetter(tok.value))
+        elif tok.kind == "epsilon":
+            parts.append(REpsilon())
+        elif tok.kind == "empty":
+            parts.append(REmpty())
+        elif tok.kind == "(":
+            frames.append(([], []))
+        elif tok.kind == "*" and parts:
+            if not isinstance(parts[-1], RStar):
+                parts[-1] = RStar(parts[-1])
+        else:
+            # '|', ')' and the end close the current concatenation, which
+            # must not be empty; a '*' reaches here only with nothing to
+            # apply to, and is reported the same way
+            if not parts:
+                raise InputError(
+                    f"regex: expected an expression at position {tok.pos}"
+                )
+            alternatives.append(parts[0] if len(parts) == 1 else RConcat(tuple(parts)))
+            parts.clear()
+            if tok.kind == "|":
+                continue
+            frames.pop()
+            node = (
+                alternatives[0] if len(alternatives) == 1
+                else RUnion(tuple(alternatives))
+            )
+            if tok.kind == "end":
+                if frames:
+                    raise InputError(f"regex: expected ')' at position {tok.pos}")
+                return node
+            if not frames:
+                raise InputError(f"regex: unexpected ')' at position {tok.pos}")
+            frames[-1][1].append(node)
+    raise AssertionError("the token list always ends with an end token")
 
 
 def _regex_precedence(r: Regex) -> int:

@@ -244,172 +244,6 @@ def resilience_local(
 
 
 # ---------------------------------------------------------------------------
-# word-list extraction for chain languages
-
-
-def _backward_eps_closure(transitions, seeds) -> frozenset:
-    rev: dict = {}
-    for src, label, dst in transitions:
-        if label is None:
-            rev.setdefault(dst, set()).add(src)
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for t in rev.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
-
-
-def _refuse_chain(letter: str):
-    raise SolverRefusal(
-        f"not a chain language: the letter {lang.render_letter(letter)}"
-        " breaks the unique-word trie structure"
-    )
-
-
-def _unique_middles(sub: EpsNFA) -> set[Word]:
-    """Words of an automaton whose distinct words have pairwise disjoint
-    letter sets and no internal repeats, via a pointer trie.
-
-    Each reachable (state, trie node) pair is visited once.  States off
-    the backward closure of the final set may carry only one node, letters
-    never repeat along a branch, no branch extends past a complete word,
-    and two complete words never share their first letter.  Any violation
-    refuses the instance; the trie of a conforming automaton has at most
-    one node per alphabet letter.
-    """
-    if not sub.states:
-        return set()
-    s_left = automata.eps_closure(sub, sub.initial)
-    s_right = _backward_eps_closure(sub.transitions, sub.final)
-    out: set[Word] = set()
-    if s_left & s_right:
-        out.add(())
-
-    adjacency: dict = {}
-    for src, label, dst in sub.transitions:
-        key = ((0, "") if label is None else (1, label), str(dst))
-        adjacency.setdefault(src, []).append((key, label, dst))
-    for entries in adjacency.values():
-        entries.sort(key=lambda e: e[0])
-
-    node_cap = len(sub.alphabet) + 1
-    parent = [0]
-    letters = [None]
-    path_sets = [frozenset()]
-    children: dict = {}
-    assigned: dict = {}
-    marked: set[int] = set()
-
-    def spell(node: int) -> Word:
-        acc = []
-        while node != 0:
-            acc.append(letters[node])
-            node = parent[node]
-        return tuple(reversed(acc))
-
-    queue = []
-    visited = set()
-    for s in sorted(s_left, key=str):
-        queue.append((s, 0))
-        visited.add((s, 0))
-        if s not in s_right:
-            assigned[s] = 0
-
-    head = 0
-    while head < len(queue):
-        state, node = queue[head]
-        head += 1
-        if state in s_right and node != 0:
-            marked.add(node)
-        for _, label, target in adjacency.get(state, ()):
-            if label is None:
-                next_node = node
-            else:
-                if state in s_right and node != 0:
-                    _refuse_chain(label)
-                if label in path_sets[node]:
-                    _refuse_chain(label)
-                next_node = children.get((node, label))
-                if next_node is None:
-                    # a conforming trie has at most one node per letter
-                    if len(parent) >= node_cap:
-                        _refuse_chain(label)
-                    next_node = len(parent)
-                    parent.append(node)
-                    letters.append(label)
-                    path_sets.append(path_sets[node] | {label})
-                    children[(node, label)] = next_node
-            if target not in s_right:
-                prior = assigned.get(target)
-                if prior is None:
-                    assigned[target] = next_node
-                elif prior != next_node:
-                    witness = label if label is not None else letters[next_node]
-                    _refuse_chain(witness or letters[prior])
-            if (target, next_node) not in visited:
-                visited.add((target, next_node))
-                queue.append((target, next_node))
-
-    first_letters: dict = {}
-    for node in sorted(marked):
-        word = spell(node)
-        if word[0] in first_letters:
-            _refuse_chain(word[0])
-        first_letters[word[0]] = node
-        out.add(word)
-    return out
-
-
-def extract_word_list(A: EpsNFA) -> frozenset[Word]:
-    """The explicit word set of an automaton presumed to denote a chain
-    language.  Refuses, naming an offending letter, when the trie
-    structure shows the language cannot be one."""
-    T = automata.trim(A)
-    s_left = automata.eps_closure(T, T.initial)
-    s_right = _backward_eps_closure(T.transitions, T.final)
-    words: set[Word] = set()
-    if s_left & s_right:
-        words.add(())
-    for src, label, dst in sorted(T.transitions, key=str):
-        if label is not None and src in s_left and dst in s_right:
-            words.add((label,))
-    letters = sorted(T.alphabet)
-    heads_by_letter: dict = {}
-    tails_by_letter: dict = {}
-    for src, label, dst in T.transitions:
-        if label is None:
-            continue
-        if src in s_left:
-            heads_by_letter.setdefault(label, set()).add(dst)
-        if dst in s_right:
-            tails_by_letter.setdefault(label, set()).add(src)
-    for a in letters:
-        start_states = heads_by_letter.get(a)
-        if not start_states:
-            continue
-        for b in letters:
-            end_states = tails_by_letter.get(b)
-            if not end_states:
-                continue
-            sub = automata.trim(
-                EpsNFA(
-                    T.states,
-                    frozenset(start_states),
-                    frozenset(end_states),
-                    T.transitions,
-                    T.alphabet,
-                )
-            )
-            for middle in _unique_middles(sub):
-                words.add((a,) + middle + (b,))
-    return frozenset(words)
-
-
-# ---------------------------------------------------------------------------
 # bipartite chain languages
 
 
@@ -421,6 +255,9 @@ def resilience_bcl(
 ) -> ResilienceAnswer:
     """Min-cut solver for bipartite chain languages.
 
+    The language is a word list or any spec of a finite language, whose
+    words are enumerated; an infinite one is refused.
+
     Single-letter words force the removal of every fact with that label.
     Remaining words thread fact gadgets (a capacity-mult edge from a start
     to an end vertex per fact) with unbounded edges between consecutive
@@ -430,7 +267,7 @@ def resilience_bcl(
     in one consistent direction.
     """
     if isinstance(language, (str, lang.Regex, EpsNFA)):
-        words = extract_word_list(automata.automaton_for(language))
+        words = _finite_words(automata.automaton_for(language), state_cap)
     else:
         words = frozenset(language)
     if () in words:
@@ -499,7 +336,6 @@ def resilience_submod(
     extra: str,
     *,
     z_cap: int = DEFAULT_Z_CAP,
-    state_cap: int = automata.DEFAULT_STATE_CAP,
 ) -> ResilienceAnswer:
     """Solver for {a_1...a_n, a_{n-1} a_{n+1}} with distinct letters.
 
@@ -582,12 +418,7 @@ def _finite_words(A: EpsNFA, state_cap: int) -> frozenset[Word]:
     )
 
 
-def _submod_dispatch(
-    db: GraphDB,
-    words: frozenset,
-    z_cap: int,
-    state_cap: int,
-) -> ResilienceAnswer:
+def _submod_dispatch(db: GraphDB, words: frozenset, z_cap: int) -> ResilienceAnswer:
     pattern = classifier.matches_submod_pattern(words)
     if pattern is None:
         raise SolverRefusal(
@@ -596,10 +427,8 @@ def _submod_dispatch(
         )
     word, extra = pattern.letters[:-1], pattern.letters[-1]
     if not pattern.mirrored:
-        return resilience_submod(db, word, extra, z_cap=z_cap, state_cap=state_cap)
-    answer = resilience_submod(
-        graphdb.mirror_db(db), word, extra, z_cap=z_cap, state_cap=state_cap
-    )
+        return resilience_submod(db, word, extra, z_cap=z_cap)
+    answer = resilience_submod(graphdb.mirror_db(db), word, extra, z_cap=z_cap)
     restored = frozenset(
         Fact(f.head, f.label, f.tail) for f in answer.contingency
     )
@@ -636,21 +465,18 @@ def resilience(
     if solver == "bcl":
         return resilience_bcl(db, A, state_cap=state_cap)
     if solver == "submod":
-        return _submod_dispatch(db, _finite_words(A, state_cap), z_cap, state_cap)
+        return _submod_dispatch(db, _finite_words(A, state_cap), z_cap)
     if solver != "auto":
         raise InputError(f"unknown solver {solver!r}")
 
-    verdict = classifier.classify(A, state_cap=state_cap)
+    analysis = classifier.analyse(A, state_cap=state_cap)
+    verdict = analysis.verdict
     if verdict.status == classifier.PTIME:
-        reduced = automata.reduce_regular(A, state_cap)
         if verdict.method == "local":
-            return resilience_local(
-                db, reduced, promise_local=True, state_cap=state_cap
-            )
-        words = _finite_words(reduced, state_cap)
+            return resilience_local(db, analysis.reduced, promise_local=True)
         if verdict.method == "bcl":
-            return resilience_bcl(db, words, state_cap=state_cap)
-        return _submod_dispatch(db, words, z_cap, state_cap)
+            return resilience_bcl(db, analysis.words)
+        return _submod_dispatch(db, analysis.words, z_cap)
 
     if len(db) > fact_cap:
         raise ResourceCapError(

@@ -219,3 +219,9 @@ def test_classify_reports_caps_as_unknown():
     verdict = classify("ab|bc", enum_cap=10_000, state_cap=3)
     assert verdict.status == UNKNOWN
     assert verdict.reason.startswith("resource cap")
+
+
+def test_classify_deep_regexes():
+    for text in ("a" + "*" * 3000, "(" * 600 + "a" + ")" * 600):
+        verdict = classify(text)
+        assert (verdict.status, verdict.method) == (PTIME, "local")

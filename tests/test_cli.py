@@ -54,6 +54,13 @@ def test_classify_bad_regex_exit_code():
     assert result.output.startswith("error:")
 
 
+def test_classify_deeply_nested_regex():
+    result = run("classify", "(" * 600 + "a" + ")" * 600)
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert result.output == "PTIME (local)\n"
+
+
 def test_resilience_basic(tmp_path):
     db = tmp_path / "chain.db"
     write(db, CHAIN_DB)

@@ -147,6 +147,20 @@ def test_parse_regex_rejects_garbage():
             lang.parse_regex(bad)
 
 
+def test_parse_regex_collapses_repeated_stars():
+    assert lang.parse_regex("a**") == lang.parse_regex("a*")
+    assert lang.parse_regex("(ab)***c") == lang.parse_regex("(ab)*c")
+    assert lang.parse_regex("a" + "*" * 3000) == lang.RStar(lang.RLetter("a"))
+
+
+def test_parse_regex_nesting_is_not_recursive():
+    assert lang.parse_regex("(" * 600 + "a" + ")" * 600) == lang.RLetter("a")
+    with pytest.raises(InputError, match="expected '\\)' at position 1200"):
+        lang.parse_regex("(" * 600 + "a" + ")" * 599)
+    with pytest.raises(InputError, match="unexpected '\\)' at position 601"):
+        lang.parse_regex("(" * 300 + "a" + ")" * 301)
+
+
 def test_regex_to_string_parses_back():
     for text in ("ab|c", "(a|b)*c", "a(b|~)d", "[load]x*"):
         r = lang.parse_regex(text)

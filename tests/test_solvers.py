@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 import oracles
-from rpqres import flow, graphdb, solvers
+from rpqres import automata, flow, graphdb, solvers
 from rpqres.automata import automaton_for, minimize, words_to_nfa
 from rpqres.errors import InputError, ResourceCapError, SolverRefusal
 from rpqres.graphdb import Fact, GraphDB
@@ -235,57 +235,25 @@ def test_databases_are_not_kept_alive():
 
 
 # ---------------------------------------------------------------------------
-# word-list extraction
+# one language-side pass per resilience call
 
 
-def x(text):
-    return solvers.extract_word_list(automaton_for(text))
+@pytest.mark.parametrize(
+    "language, method", [("ax*b", "local"), ("ab|bc", "bcl"), ("abc|be", "submod")]
+)
+def test_resilience_analyses_the_language_once(language, method, monkeypatch):
+    calls = {"reduce_regular": 0, "language_words": 0}
+    for name in calls:
 
+        def counting(*args, _real=getattr(automata, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-def test_extract_word_list_basics():
-    assert x("ab|bc") == parse_words("ab\nbc")
-    assert x("abc") == {parse_word("abc")}
-    assert x("a") == {parse_word("a")}
-    assert x("ab|a|~") == parse_words("ab\na\n~")
-    # repeated endpoint letters still extract: the middle is empty
-    assert x("aa") == {parse_word("aa")}
-    assert x("(ab|ba)c") == parse_words("abc\nbac")
-
-
-def test_extract_word_list_shared_suffix_state():
-    # a minimal DFA merges the two b-states; extraction must still
-    # tell the two middles apart
-    m = minimize(automaton_for("axb|ayb"))
-    assert solvers.extract_word_list(m) == parse_words("axb\nayb")
-
-
-def test_extract_word_list_long_words():
-    assert x("axyb|bztc") == parse_words("axyb\nbztc")
-
-
-def test_extract_word_list_refusals():
-    for bad in ("ax*b", "a(xz|xw)b", "axxb"):
-        with pytest.raises(SolverRefusal):
-            x(bad)
-    # two middles reaching one minimal-DFA state must not be conflated
-    with pytest.raises(SolverRefusal):
-        solvers.extract_word_list(minimize(automaton_for("axzb|ayzb")))
-
-
-def test_extract_word_list_roundtrip():
-    rng = random.Random(5)
-    letters = "abcdefgh"
-    for _ in range(50):
-        words = set()
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randint(1, 4)
-            words.add(tuple(rng.sample(letters, k)))
-        m = minimize(words_to_nfa(words))
-        try:
-            extracted = solvers.extract_word_list(m)
-        except SolverRefusal:
-            continue
-        assert extracted == frozenset(words)
+        monkeypatch.setattr(automata, name, counting)
+    db = graphdb.parse_db("u a v\nv b w\nw c x\nw e y\nv x v\nx a u\n")
+    assert solvers.resilience(db, language).method == method
+    assert calls["reduce_regular"] == 1
+    assert calls["language_words"] <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +264,45 @@ def test_bcl_refuses_odd_cycle():
     db = GraphDB.from_facts([Fact("u", "a", "v")])
     with pytest.raises(SolverRefusal, match="odd cycle"):
         solvers.resilience_bcl(db, "ab|bc|ca")
+
+
+def bcl_outcome(db, language):
+    try:
+        return solvers.resilience_bcl(db, language)
+    except SolverRefusal as exc:
+        return f"refused: {exc}"
+
+
+def test_bcl_refuses_non_chain_specs():
+    db = GraphDB.from_facts([Fact("u", "a", "v")])
+    for bad in ("ax*b", "a(xz|xw)b", "axxb", minimize(automaton_for("axzb|ayzb"))):
+        with pytest.raises(SolverRefusal):
+            solvers.resilience_bcl(db, bad)
+
+
+def test_bcl_on_an_automaton_enumerates_its_words():
+    # the minimal DFA merges the two b-states; the words stay apart
+    db = graphdb.parse_db("u a v\nv x w\nw b z\nu a p 2\np y q\nq b r\n")
+    answer = solvers.resilience_bcl(db, minimize(automaton_for("axb|ayb")))
+    assert answer == solvers.resilience_bcl(db, parse_words("axb\nayb"))
+    assert answer.value == 2
+
+
+def test_bcl_on_minimal_dfas_matches_word_lists():
+    rng = random.Random(5)
+    refused = solved = 0
+    for _ in range(50):
+        words = set()
+        for _ in range(rng.randint(1, 3)):
+            words.add(tuple(rng.sample("abcdefgh", rng.randint(1, 4))))
+        db = random_db(rng, sorted({a for w in words for a in w}), max_facts=10)
+        got = bcl_outcome(db, minimize(words_to_nfa(words)))
+        assert got == bcl_outcome(db, words), words
+        if isinstance(got, str):
+            refused += 1
+        else:
+            solved += 1
+    assert refused and solved
 
 
 def test_bcl_refuses_repeated_letter():
