@@ -387,45 +387,53 @@ def nfa_concat(*parts: EpsNFA) -> EpsNFA:
 
 
 def regex_to_epsnfa(r: lang.Regex) -> EpsNFA:
-    """Inductive construction; each subexpression gets a fresh start/end."""
-    counter = itertools.count()
-    transitions = []
+    """Inductive construction; each subexpression gets a fresh start/end.
 
-    def build(node) -> tuple[int, int]:
-        s, t = next(counter), next(counter)
-        if isinstance(node, lang.REmpty):
-            pass
-        elif isinstance(node, lang.REpsilon):
+    States are numbered in preorder: a node takes its start and end before
+    its children, and each child's subtree is numbered before the next
+    child's.  The tree is walked with an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit.
+    """
+    # number the nodes in preorder: (node, start, end, child positions)
+    nodes: list[tuple] = []
+    stack = [(r, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            nodes[parent][3].append(len(nodes))
+        nodes.append((node, 2 * len(nodes), 2 * len(nodes) + 1, []))
+        children = lang.regex_children(node)
+        stack.extend((child, len(nodes) - 1) for child in reversed(children))
+
+    transitions = []
+    for node, s, t, kids in nodes:
+        parts = [nodes[k][1:3] for k in kids]
+        if isinstance(node, lang.REpsilon):
             transitions.append((s, None, t))
         elif isinstance(node, lang.RLetter):
             transitions.append((s, node.letter, t))
         elif isinstance(node, lang.RConcat):
             previous = s
-            for part in node.parts:
-                ps, pt = build(part)
+            for ps, pt in parts:
                 transitions.append((previous, None, ps))
                 previous = pt
             transitions.append((previous, None, t))
         elif isinstance(node, lang.RUnion):
-            for part in node.parts:
-                ps, pt = build(part)
+            for ps, pt in parts:
                 transitions.append((s, None, ps))
                 transitions.append((pt, None, t))
         elif isinstance(node, lang.RStar):
-            ps, pt = build(node.inner)
+            (ps, pt), = parts
             transitions.append((s, None, ps))
             transitions.append((pt, None, s))
             transitions.append((s, None, t))
-        else:
+        elif not isinstance(node, lang.REmpty):
             raise TypeError(f"not a regex node: {node!r}")
-        return s, t
-
-    start, end = build(r)
-    states = set(range(next(counter)))
+    # the root is numbered first
     return EpsNFA(
-        frozenset(states),
-        frozenset((start,)),
-        frozenset((end,)),
+        frozenset(range(2 * len(nodes))),
+        frozenset((0,)),
+        frozenset((1,)),
         frozenset(transitions),
         lang.regex_alphabet(r),
     )

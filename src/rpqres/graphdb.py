@@ -64,9 +64,6 @@ class GraphDB:
     def mult(self, fact: Fact) -> int:
         return self._mults[fact]
 
-    def mult_map(self) -> dict[Fact, int]:
-        return dict(self.entries)
-
     def adom(self) -> frozenset[str]:
         return self._adom
 
@@ -162,68 +159,134 @@ def serialize_db(db: GraphDB) -> str:
 # satisfaction
 
 
-def witness_walk(db: GraphDB, A: EpsNFA) -> Optional[tuple[Fact, ...]]:
-    """A shortest walk whose label word is accepted, or None.
+def reach(adjacency: dict, seeds) -> set:
+    """Everything reachable from the seeds along the adjacency lists."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for w in adjacency.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
-    Returns the empty tuple when the automaton accepts the empty word,
-    since the empty walk then witnesses satisfaction on any database.
+
+class Product(NamedTuple):
+    """The product of a database with an automaton, for repeated walk
+    searches over sub-databases.
+
+    Pairs (node, state) are numbered from 0.  ``arcs[p]`` lists the moves
+    out of pair ``p`` as ``(bit, fact, q)``: ``fact`` indexes ``facts`` (the
+    fact order of ``db.entries``) and ``bit`` is ``1 << fact``, or both are
+    0 and -1 for an epsilon move.  Only pairs that can reach a final pair
+    are kept, and final pairs keep no moves.  ``starts`` are the initial
+    pairs in search order.  ``accepts_empty`` marks an automaton accepting
+    the empty word, which every database satisfies.
     """
+
+    facts: tuple
+    starts: tuple
+    arcs: tuple
+    final: tuple
+    accepts_empty: bool
+
+
+def product(db: GraphDB, A: EpsNFA) -> Product:
+    """Build the product that ``witness_walk`` searches.
+
+    Moves are listed in the order of a breadth-first search over
+    ``(node, state)`` pairs: epsilon targets first, then the facts out of
+    the node in entry order, each with its automaton steps; states are
+    ordered by their text.
+    """
+    facts = db.facts()
     start_states = automata.eps_closure(A, A.initial)
     if start_states & A.final:
-        return ()
-    by_tail: dict[str, list[Fact]] = {}
-    for fact in db.facts():
-        by_tail.setdefault(fact.tail, []).append(fact)
+        return Product(facts, (), (), (), True)
     maps = automata._maps(A)
+    by_tail: dict[str, list[int]] = {}
+    for i, fact in enumerate(facts):
+        by_tail.setdefault(fact.tail, []).append(i)
 
-    def automaton_steps(state, letter):
-        return sorted(maps.by_letter.get(state, {}).get(letter, ()), key=str)
+    ids: dict[tuple, int] = {}
+    pairs: list[tuple] = []
 
-    def eps_targets(state):
-        return sorted(maps.eps.get(state, ()), key=str)
+    def intern(key) -> int:
+        p = ids.get(key)
+        if p is None:
+            p = ids[key] = len(pairs)
+            pairs.append(key)
+        return p
 
-    # BFS over (node, state) pairs; parents reconstruct the fact walk
-    parents: dict[tuple, tuple] = {}
-    queue = []
-    for node in sorted(db.adom()):
-        for state in sorted(start_states, key=str):
-            key = (node, state)
-            if key not in parents:
-                parents[key] = (None, None)
-                queue.append(key)
-    head = 0
-    while head < len(queue):
-        key = queue[head]
-        head += 1
-        node, state = key
-        if state in A.final:
-            walk = []
-            cursor = key
-            while True:
-                previous, fact = parents[cursor]
-                if previous is None:
-                    break
-                if fact is not None:
-                    walk.append(fact)
-                cursor = previous
-            return tuple(reversed(walk))
-        for target in eps_targets(state):
-            nxt = (node, target)
-            if nxt not in parents:
-                parents[nxt] = (key, None)
-                queue.append(nxt)
-        for fact in by_tail.get(node, ()):
-            for target in automaton_steps(state, fact.label):
-                nxt = (fact.head, target)
-                if nxt not in parents:
-                    parents[nxt] = (key, fact)
-                    queue.append(nxt)
+    starts = [
+        intern((node, state))
+        for node in sorted(db.adom())
+        for state in sorted(start_states, key=str)
+    ]
+    moves: list[list[tuple[int, int]]] = []
+    for node, state in pairs:  # grows while interning
+        out = []
+        if state not in A.final:
+            for target in sorted(maps.eps.get(state, ()), key=str):
+                out.append((-1, intern((node, target))))
+            steps = maps.by_letter.get(state, {})
+            for i in by_tail.get(node, ()):
+                fact = facts[i]
+                for target in sorted(steps.get(fact.label, ()), key=str):
+                    out.append((i, intern((fact.head, target))))
+        moves.append(out)
+
+    pred: dict[int, list[int]] = {}
+    for p, out in enumerate(moves):
+        for _, q in out:
+            pred.setdefault(q, []).append(p)
+    useful = reach(pred, (p for p, (_, state) in enumerate(pairs) if state in A.final))
+    # renumber the useful pairs, keeping their order
+    renumber = {p: k for k, p in enumerate(p for p in range(len(pairs)) if p in useful)}
+    arcs = tuple(
+        tuple(
+            (0 if i < 0 else 1 << i, i, renumber[q])
+            for i, q in moves[p] if q in renumber
+        )
+        for p in renumber
+    )
+    final = tuple(pairs[p][1] in A.final for p in renumber)
+    return Product(
+        facts, tuple(renumber[p] for p in starts if p in renumber), arcs, final, False
+    )
+
+
+def witness_walk(prod: Product, removed: int = 0) -> Optional[tuple[Fact, ...]]:
+    """A shortest walk whose label word is accepted, or None, in the
+    database of the product without the facts whose bits are set in
+    ``removed``.
+
+    The search is breadth-first over (node, state) pairs, so the walk is
+    the one such a search finds on the sub-database itself.  Returns the
+    empty tuple when the automaton accepts the empty word, since the empty
+    walk then witnesses satisfaction on any database.
+    """
+    if prod.accepts_empty:
+        return ()
+    arcs, final = prod.arcs, prod.final
+    parents: dict[int, tuple] = dict.fromkeys(prod.starts)
+    queue = list(parents)
+    # a FIFO queue dequeues final pairs in the order it finds them, so the
+    # first one found is the first one a dequeue-time test would accept
+    for p in queue:  # grows while iterating
+        for bit, fact, q in arcs[p]:
+            if bit & removed or q in parents:
+                continue
+            parents[q] = (p, fact)
+            if final[q]:
+                walk = []
+                while parents[q] is not None:
+                    q, fact = parents[q]
+                    if fact >= 0:
+                        walk.append(prod.facts[fact])
+                return tuple(reversed(walk))
+            queue.append(q)
     return None
-
-
-def satisfies(db: GraphDB, A: EpsNFA) -> bool:
-    """Whether the database contains a walk labeled by an accepted word."""
-    return witness_walk(db, A) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +324,27 @@ def enumerate_matches(db: GraphDB, language: Iterable[Word]) -> list[Match]:
         starts.setdefault(fact.label, []).append(fact)
 
     found: dict[frozenset, tuple] = {}
-
-    def extend(word: Word, position: int, path: list[Fact]):
-        if position == len(word):
-            key = frozenset(path)
-            if key not in found:
-                found[key] = tuple(path)
-            return
-        if position == 0:
-            candidates = starts.get(word[0], ())
-        else:
-            candidates = by_first.get((path[-1].head, word[position]), ())
-        for fact in candidates:
-            path.append(fact)
-            extend(word, position + 1, path)
-            path.pop()
-
     for word in sorted(frozenset(language)):
-        if word:
-            extend(word, 0, [])
+        if not word:
+            continue
+        # depth-first over walks spelling the word: one iterator of fact
+        # choices per position reached, so long words never recurse
+        path: list[Fact] = []
+        choices = [iter(starts.get(word[0], ()))]
+        while choices:
+            fact = next(choices[-1], None)
+            if fact is None:
+                choices.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(fact)
+            if len(path) == len(word):
+                key = frozenset(path)
+                if key not in found:
+                    found[key] = tuple(path)
+                path.pop()
+            else:
+                choices.append(iter(by_first.get((fact.head, word[len(path)]), ())))
     ordered = sorted(found.items(), key=lambda item: tuple(sorted(item[0])))
     return [Match(facts, walk) for facts, walk in ordered]

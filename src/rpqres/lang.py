@@ -94,10 +94,6 @@ def parse_words(text: str) -> FiniteLanguage:
     return frozenset(words)
 
 
-def render_words(language: Iterable[Word]) -> str:
-    return "\n".join(render_word(w) for w in sorted(frozenset(language)))
-
-
 # ---------------------------------------------------------------------------
 # infixes, reduction, mirror
 
@@ -240,14 +236,24 @@ class RStar(Regex):
     inner: Regex
 
 
-def regex_alphabet(r: Regex) -> frozenset[str]:
-    if isinstance(r, RLetter):
-        return frozenset((r.letter,))
+def regex_children(r: Regex) -> tuple[Regex, ...]:
+    """The direct subexpressions of a regex node, in order."""
     if isinstance(r, (RConcat, RUnion)):
-        return frozenset(a for p in r.parts for a in regex_alphabet(p))
+        return r.parts
     if isinstance(r, RStar):
-        return regex_alphabet(r.inner)
-    return frozenset()
+        return (r.inner,)
+    return ()
+
+
+def regex_alphabet(r: Regex) -> frozenset[str]:
+    letters = set()
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, RLetter):
+            letters.add(node.letter)
+        stack.extend(regex_children(node))
+    return frozenset(letters)
 
 
 class _Token(NamedTuple):
@@ -352,26 +358,44 @@ def _regex_precedence(r: Regex) -> int:
     return 3
 
 
-def _print_regex(r: Regex, context: int) -> str:
-    if isinstance(r, REmpty):
-        body = "∅"
-    elif isinstance(r, REpsilon):
-        body = "~"
-    elif isinstance(r, RLetter):
-        body = render_letter(r.letter)
-    elif isinstance(r, RUnion):
-        body = "|".join(_print_regex(p, 1) for p in r.parts)
-    elif isinstance(r, RConcat):
-        body = "".join(_print_regex(p, 2) for p in r.parts)
-    elif isinstance(r, RStar):
-        body = _print_regex(r.inner, 3) + "*"
-    else:
-        raise TypeError(f"not a regex node: {r!r}")
-    if _regex_precedence(r) < context:
-        return f"({body})"
-    return body
-
-
 def regex_to_string(r: Regex) -> str:
-    """Print a regex; parse_regex(regex_to_string(r)) == r."""
-    return _print_regex(r, 0)
+    """Print a regex; parse_regex(regex_to_string(r)) == r.
+
+    The tree is walked with an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.
+    """
+    printed: list[str] = []  # bodies of the finished subexpressions
+    # (node, context, children printed): an inner node is visited twice,
+    # first to schedule its children, then to join what they printed
+    todo = [(r, 0, False)]
+    while todo:
+        node, context, joined = todo.pop()
+        if isinstance(node, REmpty):
+            body = "∅"
+        elif isinstance(node, REpsilon):
+            body = "~"
+        elif isinstance(node, RLetter):
+            body = render_letter(node.letter)
+        elif isinstance(node, (RUnion, RConcat, RStar)):
+            children = regex_children(node)
+            if not joined:
+                # a child is bracketed unless it binds tighter than its parent
+                inner = _regex_precedence(node) + 1
+                todo.append((node, context, True))
+                todo.extend((child, inner, False) for child in reversed(children))
+                continue
+            split = len(printed) - len(children)
+            pieces = printed[split:]
+            del printed[split:]
+            if isinstance(node, RUnion):
+                body = "|".join(pieces)
+            elif isinstance(node, RConcat):
+                body = "".join(pieces)
+            else:
+                body = pieces[0] + "*"
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+        if _regex_precedence(node) < context:
+            body = f"({body})"
+        printed.append(body)
+    return printed[0]

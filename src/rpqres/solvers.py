@@ -68,6 +68,12 @@ def resilience_exact(
     extended by facts of one concrete witness walk, which keeps the search
     sound: any falsifying superset must remove at least one fact of every
     walk, in particular of the witness.
+
+    The product of the database with the automaton is built once per call;
+    each pop searches it for a witness with the subset's facts skipped.
+    Subsets are int bitmasks over the fact order of ``db.entries``, which
+    is the sorted fact order, so the pop order, the witnesses and the
+    answer are those of a search that rebuilds the sub-database per pop.
     """
     A = automata.automaton_for(language)
     if _accepts_epsilon(A):
@@ -77,36 +83,30 @@ def resilience_exact(
             f"database has {len(db)} facts, over the exact-solver cap"
             f" of {fact_cap}"
         )
-    mult = db.mult_map()
+    prod = graphdb.product(db, A)
+    mults = [m for _, m in db.entries]
+    index = {fact: i for i, fact in enumerate(prod.facts)}
     counter = itertools.count()
-    heap = [(0, next(counter), frozenset())]
-    seen = {frozenset()}
+    heap = [(0, next(counter), 0)]
+    seen = {0}
     while heap:
         cost, _, removed = heapq.heappop(heap)
-        witness = graphdb.witness_walk(db.without(removed), A)
+        witness = graphdb.witness_walk(prod, removed)
         if witness is None:
-            return ResilienceAnswer(cost, removed, "exact")
-        for fact in sorted(set(witness)):
-            child = removed | {fact}
+            contingency = frozenset(
+                fact for i, fact in enumerate(prod.facts) if removed >> i & 1
+            )
+            return ResilienceAnswer(cost, contingency, "exact")
+        for i in sorted({index[fact] for fact in witness}):
+            child = removed | 1 << i
             if child not in seen:
                 seen.add(child)
-                heapq.heappush(heap, (cost + mult[fact], next(counter), child))
+                heapq.heappush(heap, (cost + mults[i], next(counter), child))
     raise AssertionError("search space exhausted without a falsifying subset")
 
 
 # ---------------------------------------------------------------------------
 # product networks
-
-
-def _reach(adjacency: dict, seeds) -> set:
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for w in adjacency.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _product_network(fact_arcs, unbounded_arcs, sources, targets):
@@ -132,7 +132,7 @@ def _product_network(fact_arcs, unbounded_arcs, sources, targets):
     for tail, head in unbounded_arcs:
         succ.setdefault(tail, []).append(head)
         pred.setdefault(head, []).append(tail)
-    useful = _reach(succ, sources) & _reach(pred, targets)
+    useful = graphdb.reach(succ, sources) & graphdb.reach(pred, targets)
 
     net = flow.FlowNetwork("source", "target")
     tag = {}

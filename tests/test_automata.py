@@ -51,6 +51,26 @@ def test_regex_acceptance():
     assert not accepts(ab, wd("axa"))
 
 
+def test_regex_to_epsnfa_numbers_states_in_preorder():
+    r = lang.RConcat((lang.RLetter("a"), lang.RStar(lang.RLetter("b"))))
+    m = automata.regex_to_epsnfa(r)
+    # the concatenation takes 0 and 1, the letter 2 and 3, the star 4 and
+    # 5, its letter 6 and 7
+    assert (m.initial, m.final) == ({0}, {1})
+    assert m.transitions == {
+        (2, "a", 3), (6, "b", 7),
+        (0, None, 2), (3, None, 4), (5, None, 1),
+        (4, None, 6), (7, None, 4), (4, None, 5),
+    }
+
+
+def test_regex_to_epsnfa_deep_tree():
+    m = automata.regex_to_epsnfa(lang.parse_regex("(" * 600 + "a" + "b)" * 600))
+    assert len(m.states) == 2 * 1201
+    assert accepts(m, wd("a" + "b" * 600))
+    assert not accepts(m, wd("a" + "b" * 599))
+
+
 def test_words_to_nfa_exact():
     m = words_to_nfa({wd("ab"), wd("c")})
     assert accepts(m, wd("ab"))

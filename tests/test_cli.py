@@ -61,6 +61,13 @@ def test_classify_deeply_nested_regex():
     assert result.output == "PTIME (local)\n"
 
 
+def test_classify_deep_concatenation():
+    result = run("classify", "(" * 600 + "a" + "b)" * 600)
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert result.output == "NP-hard (repeated letter)\n"
+
+
 def test_resilience_basic(tmp_path):
     db = tmp_path / "chain.db"
     write(db, CHAIN_DB)
@@ -146,6 +153,18 @@ def test_matches_dump(tmp_path):
     result = run("matches", "ab|b", str(db))
     assert result.exit_code == 0
     assert result.output == "u a v | v b w\nv b w\n"
+
+
+def test_matches_long_word(tmp_path):
+    n = 1500
+    words, db = tmp_path / "long.words", tmp_path / "chain.db"
+    write(words, "a" * n + "\n")
+    write(db, "".join(f"n{i} a n{i + 1}\n" for i in range(n)))
+    result = run("matches", "--words", str(words), str(db))
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert result.output.count("|") == n - 1
+    assert result.output.startswith("n0 a n1 | n1 a n2 |")
 
 
 def test_automaton_is_local():

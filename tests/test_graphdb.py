@@ -1,9 +1,11 @@
 """Databases, walks, and match enumeration."""
 
+import random
+
 import pytest
 
 import oracles
-from rpqres import graphdb, lang
+from rpqres import automata, graphdb, lang
 from rpqres.automata import automaton_for
 from rpqres.errors import InputError
 from rpqres.graphdb import Fact, GraphDB
@@ -92,8 +94,12 @@ def test_mirror_db():
 # walks and satisfaction
 
 
+def walk_of(db, spec):
+    return graphdb.witness_walk(graphdb.product(db, automaton_for(spec)))
+
+
 def test_witness_walk_simple():
-    walk = graphdb.witness_walk(CHAIN, automaton_for("ax*b"))
+    walk = walk_of(CHAIN, "ax*b")
     assert walk == (
         Fact("u", "a", "v"),
         Fact("v", "x", "w"),
@@ -102,23 +108,85 @@ def test_witness_walk_simple():
 
 
 def test_witness_walk_empty_word():
-    assert graphdb.witness_walk(CHAIN, automaton_for("a*")) == ()
+    assert walk_of(CHAIN, "a*") == ()
 
 
 def test_witness_walk_absent():
-    assert graphdb.witness_walk(CHAIN, automaton_for("ba")) is None
+    assert walk_of(CHAIN, "ba") is None
 
 
 def test_witness_walk_uses_cycles():
     loop = db_of(("u", "a", "u"),)
-    walk = graphdb.witness_walk(loop, automaton_for("aaa"))
+    walk = walk_of(loop, "aaa")
     assert walk == (Fact("u", "a", "u"),) * 3
 
 
-def test_satisfies_agrees_with_bruteforce():
+def test_witness_walk_agrees_with_bruteforce():
     for text in ("ax*b", "ab", "ba", "a*", "xx"):
         m = automaton_for(text)
-        assert graphdb.satisfies(CHAIN, m) == oracles.brute_satisfies(CHAIN, m)
+        assert (walk_of(CHAIN, text) is not None) == oracles.brute_satisfies(CHAIN, m)
+
+
+def random_db(rng, letters, max_facts=12, max_nodes=5):
+    nodes = [f"n{i}" for i in range(rng.randint(1, max_nodes))]
+    return db_of(*{
+        (rng.choice(nodes), rng.choice(letters), rng.choice(nodes))
+        for _ in range(rng.randint(0, max_facts))
+    })
+
+
+def is_accepted_walk(walk, A):
+    heads_meet = all(f.head == g.tail for f, g in zip(walk, walk[1:]))
+    return heads_meet and automata.accepts(A, tuple(f.label for f in walk))
+
+
+@pytest.mark.parametrize("spec", ["ax*b", "aa", "(ab)*a", "ab|bc|ca"])
+def test_masked_walk_is_the_walk_on_the_sub_database(spec):
+    A = automaton_for(spec)
+    rng = random.Random(spec)
+    for _ in range(60):
+        db = random_db(rng, "abcx")
+        prod = graphdb.product(db, A)
+        facts = db.facts()
+        for _ in range(8):
+            mask = rng.getrandbits(len(facts)) if facts else 0
+            rest = db.without(f for i, f in enumerate(facts) if mask >> i & 1)
+            walk = graphdb.witness_walk(prod, mask)
+            assert walk == walk_of(rest, spec)
+            assert (walk is not None) == oracles.brute_satisfies(rest, A)
+            if walk is not None:
+                assert set(walk) <= set(rest.facts())
+                assert is_accepted_walk(walk, A)
+
+
+def test_masks_reach_past_64_facts():
+    # 70 facts that no walk uses sort before the two that form the match
+    db = db_of(*[(f"u{i:02}", "b", f"v{i:02}") for i in range(70)],
+               ("z0", "a", "z1"), ("z1", "a", "z2"))
+    prod = graphdb.product(db, automaton_for("aa"))
+    assert prod.facts.index(Fact("z1", "a", "z2")) == 71
+    assert graphdb.witness_walk(prod, (1 << 70) - 1) == (
+        Fact("z0", "a", "z1"), Fact("z1", "a", "z2")
+    )
+    assert graphdb.witness_walk(prod, 1 << 71) is None
+
+
+def test_product_keeps_only_pairs_that_reach_a_final_pair():
+    # the a fact into q starts a walk that no b fact finishes
+    dead_end = Fact("p", "a", "q")
+    db = db_of(("u", "a", "v"), ("v", "x", "w"), ("w", "b", "z"), dead_end)
+    prod = graphdb.product(db, automaton_for("ax*b"))
+    kept = set(range(len(prod.arcs)))
+    pred = {}
+    for p, arcs in enumerate(prod.arcs):
+        for bit, fact, q in arcs:
+            assert q in kept
+            assert bit == (0 if fact < 0 else 1 << fact)
+            assert fact < 0 or prod.facts[fact] != dead_end
+            pred.setdefault(q, []).append(p)
+    finals = [p for p, final in enumerate(prod.final) if final]
+    assert graphdb.reach(pred, finals) == kept
+    assert all(not prod.arcs[p] for p in finals)
 
 
 # ---------------------------------------------------------------------------
@@ -155,3 +223,41 @@ def test_enumerate_matches_skips_empty_word():
     assert graphdb.enumerate_matches(CHAIN, {()}) == []
     only_a = graphdb.enumerate_matches(CHAIN, {(), ("a",)})
     assert [m.facts for m in only_a] == [frozenset({Fact("u", "a", "v")})]
+
+
+def recursive_matches(db, language):
+    """The recursive enumeration that ``enumerate_matches`` replaces."""
+    found = {}
+
+    def extend(word, path):
+        if len(path) == len(word):
+            found.setdefault(frozenset(path), tuple(path))
+            return
+        for fact in db.facts():
+            if fact.label == word[len(path)] and (not path or path[-1].head == fact.tail):
+                extend(word, path + [fact])
+
+    for word in sorted(frozenset(language)):
+        if word:
+            extend(word, [])
+    return sorted(found.items(), key=lambda item: tuple(sorted(item[0])))
+
+
+def test_enumerate_matches_keeps_the_recursive_walks():
+    rng = random.Random(5)
+    for _ in range(150):
+        db = random_db(rng, "ab", max_facts=8, max_nodes=4)
+        words = {
+            tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 4))
+        }
+        matches = graphdb.enumerate_matches(db, words)
+        assert [(m.facts, m.walk) for m in matches] == recursive_matches(db, words)
+
+
+def test_enumerate_matches_long_words():
+    n = 1200  # past the interpreter's default recursion limit
+    chain = db_of(*[(f"n{i}", "a", f"n{i + 1}") for i in range(n)])
+    matches = graphdb.enumerate_matches(chain, {("a",) * n})
+    assert len(matches) == 1
+    assert matches[0].walk == tuple(sorted(chain.facts(), key=lambda f: int(f.tail[1:])))

@@ -166,3 +166,17 @@ def test_regex_to_string_parses_back():
         r = lang.parse_regex(text)
         again = lang.parse_regex(lang.regex_to_string(r))
         assert again == r
+
+
+def test_deep_regex_trees_are_walked_without_recursion():
+    text = "(" * 600 + "a" + "b)" * 600
+    r = lang.parse_regex(text)
+    assert lang.regex_alphabet(r) == {"a", "b"}
+    # each inner concatenation keeps its brackets
+    printed = lang.regex_to_string(r)
+    assert printed == "(" * 599 + "ab)" + "b)" * 598 + "b"
+    # (comparing trees this deep would recurse in the dataclass __eq__)
+    assert lang.regex_to_string(lang.parse_regex(printed)) == printed
+    # a deep starred union needs its brackets at every level
+    text = "(" * 600 + "a" + "|b)*" * 600
+    assert lang.regex_to_string(lang.parse_regex(text)) == text

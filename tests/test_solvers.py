@@ -7,6 +7,7 @@ cost).
 """
 
 import gc
+import heapq
 import math
 import random
 import weakref
@@ -94,6 +95,44 @@ def test_exact_matches_bruteforce():
             assert answer.value == expected
             if not math.isinf(answer.value):
                 check_answer(db, spec, answer)
+
+
+@pytest.mark.parametrize("spec", ["ax*b", "a(b|c)*a", "aa", "ab|bc|ca"])
+def test_exact_matches_bruteforce_on_bags(spec):
+    rng = random.Random(spec)
+    A = automaton_for(spec)
+    for _ in range(30):
+        db = random_db(rng, "abcx", max_facts=8, max_nodes=4, max_mult=4)
+        answer = solvers.resilience_exact(db, spec)
+        assert answer.value == oracles.brute_resilience(db, A), (spec, db.entries)
+        check_answer(db, spec, answer)
+
+
+def test_exact_masks_reach_past_64_facts():
+    db = GraphDB.from_facts(
+        [Fact(f"u{i:02}", "b", f"v{i:02}") for i in range(70)]
+        + [Fact("z0", "a", "z1"), Fact("z1", "a", "z2")]
+    )
+    answer = solvers.resilience_exact(db, "aa", fact_cap=len(db))
+    assert answer.value == 1
+    assert answer.contingency == {Fact("z0", "a", "z1")}
+
+
+def test_exact_builds_one_product_and_walks_once_per_pop(monkeypatch):
+    calls = {"product": 0, "witness_walk": 0, "heappop": 0}
+    for module, name in ((graphdb, "product"), (graphdb, "witness_walk"), (heapq, "heappop")):
+
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    # a 4-cycle of aa facts: two facts break every aa walk
+    db = graphdb.parse_db("p a q\nq a r\nr a s\ns a p\n")
+    answer = solvers.resilience_exact(db, "aa")
+    assert answer.value == 2
+    assert calls["product"] == 1
+    assert calls["witness_walk"] == calls["heappop"] > 1
 
 
 # ---------------------------------------------------------------------------
