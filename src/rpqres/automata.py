@@ -3,9 +3,12 @@ procedures built on them: trimming, product, determinization, complement,
 inclusion, the read-once construction, locality, reduction of regular
 languages, neutral letters, and aperiodicity.
 
-An EpsNFA is immutable; states are opaque hashable ids.  DFAs are the
-deterministic special case of the same type (one initial state, no epsilon
-transitions, at most one outgoing transition per state and letter).
+An EpsNFA is immutable; states are opaque hashable ids.  Its lookup
+tables, epsilon closures included, are built on first use and kept on the
+instance, so each automaton builds them once and drops them with itself.
+DFAs are the deterministic special case of the same type (one initial
+state, no epsilon transitions, at most one outgoing transition per state
+and letter).
 
 Epsilon is represented by the label ``None`` in memory and by the reserved
 token ``EPS`` in the text format.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import lang
@@ -28,6 +31,18 @@ DEFAULT_STATE_CAP = 100_000
 DEFAULT_MONOID_CAP = 100_000
 
 Transition = tuple  # (src, label or None, dst)
+
+
+class Tables(NamedTuple):
+    """Lookup tables of one automaton."""
+
+    by_letter: dict  # state -> {letter -> frozenset of targets}
+    eps: dict  # state -> frozenset of epsilon targets
+    start: frozenset  # epsilon closure of the initial states
+    after: dict  # state -> {letter -> epsilon closure of its letter targets}
+
+
+_NO_MOVES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,12 @@ class EpsNFA:
         if not used <= self.alphabet:
             object.__setattr__(self, "alphabet", self.alphabet | frozenset(used))
 
+    @cached_property
+    def tables(self) -> Tables:
+        """Built on first use and kept on the instance, outside the
+        fields, so equality, hashing and repr ignore it."""
+        return _build_tables(self)
+
     def size(self) -> int:
         return len(self.states) + len(self.transitions)
 
@@ -64,54 +85,74 @@ def make_nfa(states, initial, final, transitions, alphabet=()) -> EpsNFA:
     )
 
 
-class _Maps(NamedTuple):
-    by_letter: dict  # state -> {letter -> frozenset of targets}
-    eps: dict  # state -> frozenset of epsilon targets
-    rev: dict  # state -> frozenset of (src, label) entering it
-
-
-@lru_cache(maxsize=1024)
-def _maps(A: EpsNFA) -> _Maps:
-    by_letter: dict = {}
-    eps: dict = {}
-    rev: dict = {}
-    for src, label, dst in A.transitions:
-        if label is None:
-            eps.setdefault(src, set()).add(dst)
-        else:
-            by_letter.setdefault(src, {}).setdefault(label, set()).add(dst)
-        rev.setdefault(dst, set()).add((src, label))
-    return _Maps(by_letter, eps, rev)
-
-
-def eps_closure(A: EpsNFA, states: Iterable) -> frozenset:
-    maps = _maps(A)
+def _eps_closure(eps: dict, states: Iterable) -> frozenset:
+    """The states reachable from the given ones along the ``eps`` map."""
     seen = set(states)
     stack = list(seen)
     while stack:
-        s = stack.pop()
-        for t in maps.eps.get(s, ()):
+        for t in eps.get(stack.pop(), ()):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
     return frozenset(seen)
 
 
-def _step(A: EpsNFA, states: frozenset, letter: str) -> frozenset:
-    maps = _maps(A)
-    out = set()
-    for s in states:
-        out |= maps.by_letter.get(s, {}).get(letter, frozenset())
-    return frozenset(out)
+def _build_tables(A: EpsNFA) -> Tables:
+    by_letter: dict = {}
+    eps: dict = {}
+    for src, label, dst in A.transitions:
+        if label is None:
+            eps.setdefault(src, set()).add(dst)
+        else:
+            by_letter.setdefault(src, {}).setdefault(label, set()).add(dst)
+    for moves in by_letter.values():
+        for label, targets in moves.items():
+            moves[label] = frozenset(targets)
+    if not eps:
+        return Tables(by_letter, eps, A.initial, by_letter)
+    eps = {s: frozenset(targets) for s, targets in eps.items()}
+    closures: dict = {}
+
+    def closure(s):
+        found = closures.get(s)
+        if found is None:
+            found = closures[s] = _eps_closure(eps, (s,))
+        return found
+
+    after = {
+        src: {
+            label: _union([closure(t) for t in targets])
+            for label, targets in moves.items()
+        }
+        for src, moves in by_letter.items()
+    }
+    return Tables(by_letter, eps, _eps_closure(eps, A.initial), after)
+
+
+def _union(parts) -> frozenset:
+    if len(parts) == 1:
+        return parts[0]
+    return frozenset().union(*parts)
+
+
+def _successor(after: dict, subset: frozenset, letter: str) -> frozenset:
+    """The closed subset a closed subset moves to on one letter."""
+    parts = []
+    for s in subset:
+        targets = after.get(s, _NO_MOVES).get(letter)
+        if targets is not None:
+            parts.append(targets)
+    return _union(parts)
 
 
 def accepts(A: EpsNFA, word: Word) -> bool:
-    current = eps_closure(A, A.initial)
+    tables = A.tables
+    current = tables.start
     for letter in word:
         if not current:
             return False
-        current = eps_closure(A, _step(A, current, letter))
-    return bool(current & A.final)
+        current = _successor(tables.after, current, letter)
+    return not current.isdisjoint(A.final)
 
 
 def is_deterministic(A: EpsNFA) -> bool:
@@ -122,17 +163,6 @@ def is_deterministic(A: EpsNFA) -> bool:
         if label is None or (src, label) in seen:
             return False
         seen.add((src, label))
-    return True
-
-
-def is_read_once(A: EpsNFA) -> bool:
-    """At most one transition per alphabet letter, over the whole automaton."""
-    counts: dict = {}
-    for _, label, _ in A.transitions:
-        if label is not None:
-            counts[label] = counts.get(label, 0) + 1
-            if counts[label] > 1:
-                return False
     return True
 
 
@@ -169,14 +199,10 @@ def trim(A: EpsNFA) -> EpsNFA:
     )
 
 
-def is_empty(A: EpsNFA) -> bool:
-    return not trim(A).final
-
-
 def product(A: EpsNFA, B: EpsNFA) -> EpsNFA:
     """Automaton for the intersection; states are reachable pairs."""
-    a_maps = _maps(A)
-    b_maps = _maps(B)
+    a_maps = A.tables
+    b_maps = B.tables
     start = frozenset(itertools.product(A.initial, B.initial))
     seen = set(start)
     stack = list(start)
@@ -212,16 +238,18 @@ def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
     output is deterministic in both senses.
     """
     letters = sorted(A.alphabet)
-    start = eps_closure(A, A.initial)
-    ids = {start: 0}
-    order = [start]
+    tables = A.tables
+    ids = {tables.start: 0}
+    order = [tables.start]
     transitions = []
-    index = 0
-    while index < len(order):
-        subset = order[index]
-        index += 1
+    movers = frozenset(tables.after)
+    for subset in order:  # grows while subsets are found
+        parts: dict = {}
+        for s in subset & movers:
+            for letter, targets in tables.after[s].items():
+                parts.setdefault(letter, []).append(targets)
         for letter in letters:
-            target = eps_closure(A, _step(A, subset, letter))
+            target = _union(parts.get(letter, ()))
             if target not in ids:
                 if len(ids) >= state_cap:
                     raise ResourceCapError(
@@ -230,7 +258,9 @@ def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
                 ids[target] = len(ids)
                 order.append(target)
             transitions.append((ids[subset], letter, ids[target]))
-    final = frozenset(i for subset, i in ids.items() if subset & A.final)
+    final = frozenset(
+        i for subset, i in ids.items() if not subset.isdisjoint(A.final)
+    )
     return EpsNFA(
         frozenset(range(len(ids))),
         frozenset((0,)),
@@ -251,7 +281,7 @@ def _complete(A: EpsNFA, alphabet: frozenset) -> EpsNFA:
     """Make a DFA total over the given alphabet, adding a sink if needed."""
     if not is_deterministic(A):
         raise InputError("completion requires a deterministic automaton")
-    maps = _maps(A)
+    maps = A.tables
     missing = [
         (s, a)
         for s in A.states
@@ -283,9 +313,43 @@ def complement(A: EpsNFA, alphabet: Optional[frozenset] = None) -> EpsNFA:
 
 
 def is_subset(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    joint = A.alphabet | B.alphabet
-    co_b = complement(determinize(B, state_cap), joint)
-    return is_empty(product(A, co_b))
+    """Whether L(A) is included in L(B).
+
+    The search runs over pairs of one A-state and one subset of B-states,
+    both closed under epsilon moves, and stops at the first pair that A
+    accepts and B rejects.  The state cap counts the B-subsets it finds.
+    """
+    a_after = A.tables.after
+    b_after = B.tables.after
+    subsets = [B.tables.start]
+    ids = {subsets[0]: 0}
+    moves: list[dict] = [{}]  # subset id -> {letter -> successor id}
+    seen = {(a, 0) for a in A.tables.start}
+    stack = list(seen)
+    while stack:
+        a, k = stack.pop()
+        if a in A.final and subsets[k].isdisjoint(B.final):
+            return False
+        row = moves[k]
+        for letter, targets in a_after.get(a, _NO_MOVES).items():
+            j = row.get(letter)
+            if j is None:
+                subset = _successor(b_after, subsets[k], letter)
+                j = ids.get(subset)
+                if j is None:
+                    if len(ids) >= state_cap:
+                        raise ResourceCapError(
+                            f"inclusion check exceeded the {state_cap}-state cap"
+                        )
+                    j = ids[subset] = len(subsets)
+                    subsets.append(subset)
+                    moves.append({})
+                row[letter] = j
+            for t in targets:
+                if (t, j) not in seen:
+                    seen.add((t, j))
+                    stack.append((t, j))
+    return True
 
 
 def is_equivalent(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -298,7 +362,7 @@ def minimize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
         A = determinize(A, state_cap)
     A = _complete(A, A.alphabet)
     letters = sorted(A.alphabet)
-    maps = _maps(A)
+    maps = A.tables
 
     def delta(s, a):
         (target,) = maps.by_letter[s][a]
@@ -568,7 +632,7 @@ def language_words(
         if _has_pumping_cycle(D):
             raise InputError("cannot enumerate an infinite language without a length cap")
         max_len = len(D.states)
-    maps = _maps(D)
+    maps = D.tables
     words = []
     frontier = [((), s) for s in D.initial]
     length = 0
@@ -609,33 +673,23 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
     the same language iff that language is letter-Cartesian.
     """
     T = trim(A)
-    maps = _maps(T)
-    closure_initial = eps_closure(T, T.initial)
-
-    backward_final = set(T.final)
-    stack = list(backward_final)
-    while stack:
-        s = stack.pop()
-        for src, label in maps.rev.get(s, ()):
-            if label is None and src not in backward_final:
-                backward_final.add(src)
-                stack.append(src)
+    tables = T.tables
+    closure_initial = tables.start
 
     sigma_start = set()
     sigma_end = set()
     pairs = set()
-    for src, label, dst in T.transitions:
-        if label is None:
-            continue
-        if src in closure_initial:
-            sigma_start.add(label)
-        if dst in backward_final:
-            sigma_end.add(label)
-        for reached in eps_closure(T, (dst,)):
-            for follow_label in maps.by_letter.get(reached, {}):
-                pairs.add((label, follow_label))
+    for src, moves in tables.after.items():
+        for label, reached in moves.items():
+            if src in closure_initial:
+                sigma_start.add(label)
+            if not reached.isdisjoint(T.final):
+                sigma_end.add(label)
+            for r in reached:
+                for follow_label in tables.by_letter.get(r, _NO_MOVES):
+                    pairs.add((label, follow_label))
 
-    accepts_epsilon = bool(closure_initial & T.final)
+    accepts_epsilon = not closure_initial.isdisjoint(T.final)
 
     states = set()
     transitions = set()
@@ -699,10 +753,6 @@ def letter_cartesian_counterexample(
     return None
 
 
-def is_letter_cartesian_finite(language: Iterable[Word]) -> bool:
-    return letter_cartesian_counterexample(language) is None
-
-
 # ---------------------------------------------------------------------------
 # reduction of regular languages
 
@@ -726,12 +776,6 @@ def _strict_extensions(A: EpsNFA) -> EpsNFA:
         nfa_concat(_sigma_plus(alphabet), A, _sigma_star(alphabet)),
         nfa_concat(_sigma_star(alphabet), A, _sigma_plus(alphabet)),
     )
-
-
-def is_reduced_regular(A: EpsNFA) -> bool:
-    if not A.alphabet:
-        return True
-    return is_empty(product(A, _strict_extensions(A)))
 
 
 def reduce_regular(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
@@ -801,7 +845,7 @@ def non_aperiodic_witness(
     D = minimize(trim(A), state_cap)
     order = sorted(D.states)
     index = {s: i for i, s in enumerate(order)}
-    maps = _maps(D)
+    maps = D.tables
     letters = sorted(D.alphabet)
 
     def letter_map(a):
@@ -849,14 +893,6 @@ def non_aperiodic_witness(
         if period != 1:
             return elements[m], period
     return None
-
-
-def is_aperiodic(
-    A: EpsNFA,
-    monoid_cap: int = DEFAULT_MONOID_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> bool:
-    return non_aperiodic_witness(A, monoid_cap, state_cap) is None
 
 
 # ---------------------------------------------------------------------------

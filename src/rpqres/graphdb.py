@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from . import automata
 from .automata import EpsNFA
 from .errors import InputError
 from .lang import Word
@@ -200,10 +199,10 @@ def product(db: GraphDB, A: EpsNFA) -> Product:
     ordered by their text.
     """
     facts = db.facts()
-    start_states = automata.eps_closure(A, A.initial)
-    if start_states & A.final:
+    maps = A.tables
+    start_states = maps.start
+    if not start_states.isdisjoint(A.final):
         return Product(facts, (), (), (), True)
-    maps = automata._maps(A)
     by_tail: dict[str, list[int]] = {}
     for i, fact in enumerate(facts):
         by_tail.setdefault(fact.tail, []).append(i)

@@ -50,10 +50,6 @@ class ResilienceAnswer:
             )
 
 
-def _accepts_epsilon(A: EpsNFA) -> bool:
-    return bool(automata.eps_closure(A, A.initial) & A.final)
-
-
 # ---------------------------------------------------------------------------
 # exact solver
 
@@ -76,7 +72,7 @@ def resilience_exact(
     answer are those of a search that rebuilds the sub-database per pop.
     """
     A = automata.automaton_for(language)
-    if _accepts_epsilon(A):
+    if automata.accepts(A, ()):
         return ResilienceAnswer(INF, None, "exact")
     if len(db) > fact_cap:
         raise ResourceCapError(
@@ -209,7 +205,7 @@ def resilience_local(
         ro = language
     else:
         A = automata.automaton_for(language)
-        if _accepts_epsilon(A):
+        if automata.accepts(A, ()):
             return ResilienceAnswer(INF, None, "local")
         if not promise_local and not automata.is_local_language(A, state_cap):
             raise SolverRefusal(

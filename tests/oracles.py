@@ -10,17 +10,95 @@ import itertools
 import math
 
 
+def _eps_targets(transitions):
+    eps = {}
+    for src, label, dst in transitions:
+        if label is None:
+            eps.setdefault(src, set()).add(dst)
+    return eps
+
+
+def _closure(eps, states):
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        for t in eps.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(seen)
+
+
 def eps_closure(transitions, states):
     """Forward closure under transitions labeled None."""
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for src, label, dst in transitions:
-            if src == q and label is None and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
+    return _closure(_eps_targets(transitions), states)
+
+
+def subset_construction(A):
+    """The subset construction, as the tuple of fields (states, initial,
+    final, transitions, alphabet) of a complete DFA over A's alphabet.
+
+    Subsets are numbered in discovery order, breadth first, letters in
+    sorted order; each step collects the letter targets and runs its own
+    closure search.
+    """
+    eps = _eps_targets(A.transitions)
+    letters = sorted(A.alphabet)
+    start = _closure(eps, A.initial)
+    ids = {start: 0}
+    order = [start]
+    transitions = set()
+    index = 0
+    while index < len(order):
+        subset = order[index]
+        index += 1
+        for letter in letters:
+            moved = {
+                dst for src, label, dst in A.transitions
+                if label == letter and src in subset
+            }
+            target = _closure(eps, moved)
+            if target not in ids:
+                ids[target] = len(ids)
+                order.append(target)
+            transitions.add((ids[subset], letter, ids[target]))
+    final = frozenset(i for subset, i in ids.items() if subset & A.final)
+    return (
+        frozenset(range(len(ids))), frozenset({0}), final,
+        frozenset(transitions), A.alphabet,
+    )
+
+
+def included(A, B) -> bool:
+    """Whether L(A) is a subset of L(B).
+
+    Determinize B, complete it with a sink over both alphabets, complement
+    it, and search the product with A for a pair final in both.
+    """
+    states, initial, final, transitions, _ = subset_construction(B)
+    delta = {(src, label): dst for src, label, dst in transitions}
+    sink = len(states)
+    rejecting = (states - final) | {sink}
+
+    def step(q, letter):
+        return delta.get((q, letter), sink)
+
+    eps = _eps_targets(A.transitions)
+    (b0,) = initial
+    frontier = [(p, b0) for p in _closure(eps, A.initial)]
+    seen = set(frontier)
+    while frontier:
+        p, q = frontier.pop()
+        if p in A.final and q in rejecting:
+            return False
+        for src, label, dst in A.transitions:
+            if src != p:
+                continue
+            pair = (dst, q if label is None else step(q, label))
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+    return True
 
 
 def brute_satisfies(db, A) -> bool:

@@ -1,9 +1,12 @@
 """Automaton algebra: construction, determinization, locality, reduction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_acceptance import _random_regex
 from rpqres import automata, lang
 from rpqres.automata import (
     accepts,
@@ -11,15 +14,13 @@ from rpqres.automata import (
     complement,
     determinize,
     eps_nfa_to_ro,
-    is_aperiodic,
     is_equivalent,
     is_finite_language,
-    is_letter_cartesian_finite,
     is_local_language,
     is_neutral_letter,
-    is_read_once,
     is_subset,
     language_words,
+    letter_cartesian_counterexample,
     non_aperiodic_witness,
     parse_automaton,
     reduce_regular,
@@ -142,6 +143,59 @@ def test_subset_and_equivalence():
     assert is_equivalent(A("a(b|c)"), A("ab|ac"))
 
 
+def test_tables_stay_out_of_equality_and_repr():
+    m, again = A("a(b|c)*"), A("a(b|c)*")
+    before = (repr(m), hash(m))
+    assert accepts(m, wd("abc"))  # builds the tables of m only
+    assert "tables" in vars(m) and "tables" not in vars(again)
+    assert m == again and (repr(m), hash(m)) == before
+
+
+def test_inclusion_stops_at_a_counterexample_before_the_cap():
+    # the counterexample a needs one subset of (ab|bc)*c beyond its start,
+    # while determinizing (ab|bc)*c needs more than two
+    assert not is_subset(A("a"), A("(ab|bc)*c"), state_cap=2)
+    with pytest.raises(ResourceCapError):
+        determinize(A("(ab|bc)*c"), state_cap=2)
+    with pytest.raises(ResourceCapError):
+        is_subset(A("(ab|bc)*c"), A("(ab|bc)*c"), state_cap=2)
+
+
+def _reference_reduce(m):
+    """reduce_regular with the reference subset construction."""
+
+    def det(x):
+        return automata.EpsNFA(*oracles.subset_construction(x))
+
+    if not m.alphabet:
+        return det(trim(m))
+    co_ext = complement(det(automata._strict_extensions(m)), m.alphabet)
+    return trim(det(automata.product(m, co_ext)))
+
+
+def test_tables_match_the_reference_constructions():
+    rng = random.Random(707)
+    texts = [_random_regex(rng, 4) for _ in range(300)]
+    texts += ["e*be*ce*|e*de*fe*", "b(aa)*d", "(ab|bc)*c", "(" * 30 + "a" + "b)" * 30]
+    empty = automata.make_nfa({0}, {0}, (), (), "ab")
+    machines = [A(text) for text in texts] + [empty]
+    for m in machines:
+        d = determinize(m)
+        assert (d.states, d.initial, d.final, d.transitions, d.alphabet) == (
+            oracles.subset_construction(m)
+        )
+        assert serialize_automaton(reduce_regular(m)) == serialize_automaton(
+            _reference_reduce(m)
+        )
+    # pairs over different alphabets, with the empty language and the
+    # empty word among them
+    shifted = [A(_random_regex(rng, 3).replace("a", "d")) for _ in range(60)]
+    pool = machines[:60] + shifted + [empty, A("~")]
+    for _ in range(600):
+        x, y = rng.choice(pool), rng.choice(pool)
+        assert is_subset(x, y) == oracles.included(x, y)
+
+
 # ---------------------------------------------------------------------------
 # finiteness and word enumeration
 
@@ -177,9 +231,9 @@ def test_is_finite_language():
 
 def test_ro_shape():
     ro = eps_nfa_to_ro(A("ab|bc"))
-    assert is_read_once(ro)
     # one letter transition per letter
     labels = [label for _, label, _ in ro.transitions if label is not None]
+    assert len(labels) == len(set(labels))
     assert sorted(labels) == ["a", "b", "c"]
 
 
@@ -206,9 +260,9 @@ def test_local_language_detection():
 def test_letter_cartesian_finite_matches_bruteforce():
     for text in ("ab|bc", "ab|ad|cd", "abc|abd", "a|b", "abca|cab"):
         words = frozenset(language_words(A(text)))
-        assert is_letter_cartesian_finite(words) == oracles.brute_letter_cartesian(
-            words
-        )
+        assert (
+            letter_cartesian_counterexample(words) is None
+        ) == oracles.brute_letter_cartesian(words)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +282,7 @@ def test_reduce_regular_of_infinite_language():
 def test_reduce_regular_fixed_point():
     r = reduce_regular(A("ab|bc"))
     assert is_equivalent(r, A("ab|bc"))
-    assert automata.is_reduced_regular(r)
+    assert is_equivalent(reduce_regular(r), r)
 
 
 @given(regex_st)
@@ -260,7 +314,6 @@ def test_neutral_letter():
 
 
 def test_aperiodicity():
-    assert is_aperiodic(A("ax*b"))
     assert non_aperiodic_witness(A("ax*b")) is None
     witness = non_aperiodic_witness(A("b(aa)*d"))
     assert witness is not None
@@ -276,9 +329,9 @@ def test_aperiodicity():
 
 
 def test_aperiodic_star_of_letter():
-    assert is_aperiodic(A("a*"))
-    assert is_aperiodic(A("(ab)*"))  # aperiodic despite the star
-    assert not is_aperiodic(A("(aa)*"))
+    assert non_aperiodic_witness(A("a*")) is None
+    assert non_aperiodic_witness(A("(ab)*")) is None  # despite the star
+    assert non_aperiodic_witness(A("(aa)*")) is not None
 
 
 # ---------------------------------------------------------------------------

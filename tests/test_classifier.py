@@ -1,5 +1,8 @@
 """Complexity classification: detectors and the full pipeline."""
 
+import gc
+import weakref
+
 import pytest
 
 from rpqres import classifier, lang
@@ -219,6 +222,15 @@ def test_classify_reports_caps_as_unknown():
     verdict = classify("ab|bc", enum_cap=10_000, state_cap=3)
     assert verdict.status == UNKNOWN
     assert verdict.reason.startswith("resource cap")
+
+
+def test_automata_are_not_kept_alive():
+    A = automaton_for("pq|qr")
+    ref = weakref.ref(A)
+    assert classify(A).status == PTIME
+    del A
+    gc.collect()
+    assert ref() is None
 
 
 def test_classify_deep_regexes():
