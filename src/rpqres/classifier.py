@@ -77,21 +77,29 @@ def _four_legged_search(
     def short_enough(part):
         return leg_cap is None or len(part) <= leg_cap
 
+    # for each letter x, the splits before2 x after2 of a second word, in
+    # search order; the membership test reads only after2, so the first
+    # split with a given after2 is the only one that can be reported
+    closing: dict = {}
+    for w2 in ordered:
+        for j in range(1, len(w2) - 1):
+            before2, after2 = w2[:j], w2[j + 1 :]
+            if short_enough(before2) and short_enough(after2):
+                closing.setdefault(w2[j], {}).setdefault(after2, before2)
+
+    tried = set()  # (before1, x): the test does not read after1
     for w1 in ordered:
         for i in range(1, len(w1) - 1):
             x = w1[i]
             before1, after1 = w1[:i], w1[i + 1 :]
             if not (short_enough(before1) and short_enough(after1)):
                 continue
-            for w2 in ordered:
-                for j in range(1, len(w2) - 1):
-                    if w2[j] != x:
-                        continue
-                    before2, after2 = w2[:j], w2[j + 1 :]
-                    if not (short_enough(before2) and short_enough(after2)):
-                        continue
-                    if not member(before1 + (x,) + after2):
-                        return FourLeggedWitness(x, before1, after1, before2, after2)
+            if (before1, x) in tried:
+                continue
+            tried.add((before1, x))
+            for after2, before2 in closing.get(x, {}).items():
+                if not member(before1 + (x,) + after2):
+                    return FourLeggedWitness(x, before1, after1, before2, after2)
     return None
 
 
@@ -123,10 +131,6 @@ def chain_violation(language: Iterable[Word]) -> Optional[str]:
                         f" {lang.render_word(other)}"
                     )
     return None
-
-
-def is_chain_language(language: Iterable[Word]) -> bool:
-    return chain_violation(language) is None
 
 
 def endpoint_graph(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .errors import InputError
 
@@ -187,12 +187,3 @@ def min_cut(network: FlowNetwork) -> CutResult:
     )
     return CutResult(value, cut)
 
-
-def check_cut(network: FlowNetwork, edge_indices: Iterable[int]) -> bool:
-    """Whether removing the given edges leaves no source-target path."""
-    removed = frozenset(edge_indices)
-    adjacency: dict = {}
-    for index, e in enumerate(network.edges):
-        if index not in removed:
-            adjacency.setdefault(e.tail, []).append(e.head)
-    return not _reaches(adjacency, network.source, network.target)

@@ -314,22 +314,27 @@ def enumerate_matches(db: GraphDB, language: Iterable[Word]) -> list[Match]:
     Words are tried in sorted order and walks explored with sorted fact
     choices, so the representative walk kept for each fact set is
     deterministic.  The empty word never produces a match (the empty walk
-    uses no facts); satisfaction checks handle it separately.
+    uses no facts); satisfaction checks handle it separately.  Walks only
+    step into nodes from which the rest of the word can still be spelt
+    (``_word_nodes``), so no branch of the search dies.
     """
-    by_first: dict[tuple[str, str], list[Fact]] = {}
-    starts: dict[str, list[Fact]] = {}
-    for fact in db.facts():
-        by_first.setdefault((fact.tail, fact.label), []).append(fact)
-        starts.setdefault(fact.label, []).append(fact)
-
+    words = sorted(frozenset(language))
+    letters = {letter for word in words for letter in word}
+    facts = [fact for fact in db.facts() if fact.label in letters]
+    graph = _LabelGraph(facts)
     found: dict[frozenset, tuple] = {}
-    for word in sorted(frozenset(language)):
+    for word in words:
         if not word:
             continue
+        nodes = _word_nodes(graph, word)
+        n = len(word)
         # depth-first over walks spelling the word: one iterator of fact
         # choices per position reached, so long words never recurse
         path: list[Fact] = []
-        choices = [iter(starts.get(word[0], ()))]
+        choices = [iter([
+            f for v in sorted(nodes[0]) for f in graph.out[word[0]][v]
+            if f.head in nodes[1]
+        ])]
         while choices:
             fact = next(choices[-1], None)
             if fact is None:
@@ -338,12 +343,107 @@ def enumerate_matches(db: GraphDB, language: Iterable[Word]) -> list[Match]:
                     path.pop()
                 continue
             path.append(fact)
-            if len(path) == len(word):
+            k = len(path)
+            if k == n:
                 key = frozenset(path)
                 if key not in found:
                     found[key] = tuple(path)
                 path.pop()
             else:
-                choices.append(iter(by_first.get((fact.head, word[len(path)]), ())))
+                choices.append(iter([
+                    f for f in graph.out[word[k]][fact.head] if f.head in nodes[k + 1]
+                ]))
     ordered = sorted(found.items(), key=lambda item: tuple(sorted(item[0])))
     return [Match(facts, walk) for facts, walk in ordered]
+
+
+class _LabelGraph:
+    """Facts by label and by tail (``out``) or head (``into``), in fact
+    order, with the longest walk out of and into each node."""
+
+    def __init__(self, facts):
+        self.out: dict[str, dict[str, list[Fact]]] = {}
+        self.into: dict[str, dict[str, list[Fact]]] = {}
+        for fact in facts:
+            self.out.setdefault(fact.label, {}).setdefault(fact.tail, []).append(fact)
+            self.into.setdefault(fact.label, {}).setdefault(fact.head, []).append(fact)
+        self.height = _longest_walks((head, tail) for tail, _, head in facts)
+        self.depth = _longest_walks((tail, head) for tail, _, head in facts)
+
+
+def _word_nodes(graph: _LabelGraph, word: Word) -> list[set]:
+    """For each position k of the word, the nodes where a walk spelling
+    ``word[:k]`` ends and a walk spelling ``word[k:]`` starts.
+
+    The prefix side is computed forward from position 0 and the suffix
+    side backward from the end, one position at a time on whichever side
+    has done less work, until the two meet; each side is then pruned to
+    the other, outward from the meeting position.  Either side alone can
+    cost the square of the word's length where the other costs next to
+    nothing.  Nodes whose longest walks out (``height``) or in
+    (``depth``) are too short for the rest of the word never enter.
+    """
+    n = len(word)
+    height, depth = graph.height, graph.depth
+    fwd = [{v for v in graph.out.get(word[0], {}) if height.get(v, n) >= n}]
+    bwd = [{v for v in graph.into.get(word[-1], {}) if depth.get(v, n) >= n}]
+    fwd_work = bwd_work = 0
+    while len(fwd) + len(bwd) < n + 2:
+        if fwd_work <= bwd_work:
+            k = len(fwd)
+            step = graph.out.get(word[k - 1], {})
+            level = {
+                f.head for v in fwd[-1] for f in step.get(v, ())
+                if height.get(f.head, n) >= n - k
+            }
+            fwd.append(level)
+            fwd_work += len(level)
+        else:
+            k = n - len(bwd)
+            step = graph.into.get(word[k], {})
+            level = {
+                f.tail for v in bwd[-1] for f in step.get(v, ())
+                if depth.get(f.tail, k) >= k
+            }
+            bwd.append(level)
+            bwd_work += len(level)
+    # fwd[k] is position k and bwd[j] position n - j; both reach position m
+    m = len(fwd) - 1
+    nodes = [set() for _ in range(n + 1)]
+    nodes[m] = fwd[m] & bwd[n - m]
+    for k in range(m - 1, -1, -1):
+        step = graph.into.get(word[k], {})
+        nodes[k] = {
+            f.tail for v in nodes[k + 1] for f in step.get(v, ()) if f.tail in fwd[k]
+        }
+    for k in range(m + 1, n + 1):
+        step = graph.out.get(word[k - 1], {})
+        nodes[k] = {
+            f.head for v in nodes[k - 1] for f in step.get(v, ()) if f.head in bwd[n - k]
+        }
+    return nodes
+
+
+def _longest_walks(edges) -> dict[str, int]:
+    """The length of the longest walk along the (tail, head) edges that
+    ends at each node.  Nodes that a cycle reaches have unbounded walks
+    and are left out.
+
+    Nodes are settled in topological order, each once every edge into it
+    has been counted; those behind a cycle never are.
+    """
+    pending: dict[str, int] = {}
+    succ: dict[str, list[str]] = {}
+    for tail, head in edges:
+        pending[head] = pending.get(head, 0) + 1
+        pending.setdefault(tail, 0)
+        succ.setdefault(tail, []).append(head)
+    longest = dict.fromkeys((v for v, count in pending.items() if not count), 0)
+    settled = list(longest)
+    for v in settled:  # grows while iterating
+        for w in succ.get(v, ()):
+            longest[w] = max(longest.get(w, 0), longest[v] + 1)
+            pending[w] -= 1
+            if not pending[w]:
+                settled.append(w)
+    return {v: longest[v] for v in settled}

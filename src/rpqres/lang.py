@@ -129,7 +129,7 @@ def mirror_finite(language: Iterable[Word]) -> FiniteLanguage:
 
 
 # ---------------------------------------------------------------------------
-# repeated letters and maximal-gap decompositions
+# repeated letters
 
 
 class RepeatedLetter(NamedTuple):
@@ -150,49 +150,6 @@ def has_repeated_letter(word: Word) -> Optional[RepeatedLetter]:
                     word[i], word[:i], word[i + 1 : j], word[j + 1 :]
                 )
     return None
-
-
-class GapDecomposition(NamedTuple):
-    word: Word
-    before: Word
-    letter: str
-    gap: Word
-    after: Word
-
-
-def _widest_split(word: Word) -> Optional[tuple[int, int, int]]:
-    # (gap, i, j) for the first repeated pair of maximal gap
-    best: Optional[tuple[int, int, int]] = None
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] == word[j] and (best is None or j - i - 1 > best[0]):
-                best = (j - i - 1, i, j)
-    return best
-
-
-def maximal_gap_words(language: Iterable[Word]) -> list[GapDecomposition]:
-    """Words whose repeated letters are farthest apart.
-
-    Among all decompositions word = before + a + gap + a + after over the
-    whole language, keep the words achieving the largest ``gap`` length,
-    then the longest words among those.  One witnessing decomposition per
-    word, words in lexicographic order.
-    """
-    found: list[tuple[int, Word, int, int]] = []
-    for w in sorted(frozenset(language)):
-        split = _widest_split(w)
-        if split is not None:
-            found.append((split[0], w, split[1], split[2]))
-    if not found:
-        raise InputError("no word of the language has a repeated letter")
-    top_gap = max(gap for gap, _, _, _ in found)
-    widest = [entry for entry in found if entry[0] == top_gap]
-    top_len = max(len(w) for _, w, _, _ in widest)
-    return [
-        GapDecomposition(w, w[:i], w[i], w[i + 1 : j], w[j + 1 :])
-        for gap, w, i, j in widest
-        if len(w) == top_len
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -57,19 +57,27 @@ class ResilienceAnswer:
 def resilience_exact(
     db: GraphDB, language: LanguageSpec, fact_cap: int = DEFAULT_EXACT_CAP
 ) -> ResilienceAnswer:
-    """Optimal contingency set by best-first search over fact subsets.
+    """Optimal contingency set by A* search over fact subsets.
 
-    Subsets are popped in order of total multiplicity; the first one whose
-    removal falsifies the query is optimal.  A satisfying subset is only
-    extended by facts of one concrete witness walk, which keeps the search
-    sound: any falsifying superset must remove at least one fact of every
-    walk, in particular of the witness.
+    A satisfying subset is only extended by facts of one concrete witness
+    walk, which keeps the search sound: any falsifying superset must
+    remove at least one fact of every walk, in particular of the witness.
+    Subsets are popped in order of their key, their total multiplicity
+    plus a lower bound on what is still to pay, so the first one whose
+    removal falsifies the query is optimal.
+
+    The bound is ``_packing_bound``, computed when a subset is popped.  A
+    child is pushed with the key its parent's bound implies: removing
+    fact ``i`` and then the child's optimum falsifies the parent's
+    sub-database, so the child still has to pay at least the parent's
+    bound less ``mults[i]``.  A popped subset whose own bound lifts its
+    key goes back on the heap with the higher key, unless it would be
+    popped next anyway.  Ties go to the costlier subset, then to the
+    earlier push.
 
     The product of the database with the automaton is built once per call;
     each pop searches it for a witness with the subset's facts skipped.
-    Subsets are int bitmasks over the fact order of ``db.entries``, which
-    is the sorted fact order, so the pop order, the witnesses and the
-    answer are those of a search that rebuilds the sub-database per pop.
+    Subsets are int bitmasks over the fact order of ``db.entries``.
     """
     A = automata.automaton_for(language)
     if automata.accepts(A, ()):
@@ -83,22 +91,61 @@ def resilience_exact(
     mults = [m for _, m in db.entries]
     index = {fact: i for i, fact in enumerate(prod.facts)}
     counter = itertools.count()
-    heap = [(0, next(counter), 0)]
+    heap = [(0, 0, next(counter), 0)]
     seen = {0}
+    lifted = set()  # subsets pushed back with their own bound as key
     while heap:
-        cost, _, removed = heapq.heappop(heap)
+        key, neg_cost, _, removed = heapq.heappop(heap)
+        cost = -neg_cost
         witness = graphdb.witness_walk(prod, removed)
         if witness is None:
+            # keys never exceed the cost of the best falsifying superset
+            assert key == cost
             contingency = frozenset(
                 fact for i, fact in enumerate(prod.facts) if removed >> i & 1
             )
             return ResilienceAnswer(cost, contingency, "exact")
+        bound = key - cost
+        if removed not in lifted:
+            bound = max(bound, _packing_bound(prod, mults, index, removed, witness))
+            # pushed back, the entry would lose every tie to the heap's top
+            if cost + bound > key and heap and (cost + bound, neg_cost) >= heap[0][:2]:
+                lifted.add(removed)
+                heapq.heappush(heap, (cost + bound, neg_cost, next(counter), removed))
+                continue
         for i in sorted({index[fact] for fact in witness}):
             child = removed | 1 << i
             if child not in seen:
                 seen.add(child)
-                heapq.heappush(heap, (cost + mults[i], next(counter), child))
+                child_cost = cost + mults[i]
+                child_key = child_cost + max(0, bound - mults[i])
+                heapq.heappush(heap, (child_key, -child_cost, next(counter), child))
     raise AssertionError("search space exhausted without a falsifying subset")
+
+
+def _packing_bound(prod, mults, index, removed, walk) -> int:
+    """A lower bound on the resilience of the product's database without
+    the facts set in ``removed``, whose witness ``walk`` is given.
+
+    Witness walks are packed greedily: each adds the smallest residual
+    multiplicity ``d`` among its facts to the bound and takes ``d`` from
+    each of them, and a fact left with none is skipped by the next walk
+    search.  The packed amounts are a feasible solution of the dual of
+    the hitting-set LP over walk fact sets, so their sum never exceeds
+    the cost of a fact set that meets every walk.
+    """
+    residual = {}
+    bound = 0
+    while walk is not None:
+        used = {index[fact] for fact in walk}
+        d = min(residual.get(i, mults[i]) for i in used)
+        bound += d
+        for i in used:
+            left = residual[i] = residual.get(i, mults[i]) - d
+            if not left:
+                removed |= 1 << i
+        walk = graphdb.witness_walk(prod, removed)
+    return bound
 
 
 # ---------------------------------------------------------------------------

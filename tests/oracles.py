@@ -6,6 +6,7 @@ satisfaction is a hand-rolled product reachability, cuts and covers are
 plain subset enumeration.
 """
 
+import heapq
 import itertools
 import math
 
@@ -232,3 +233,63 @@ def brute_reduce(words) -> frozenset:
         return False
 
     return frozenset(w for w in words if not has_strict_infix(w))
+
+
+def best_first_search(mults, witness):
+    """Plain best-first search over fact subsets, without a lower bound:
+    the exact solver's search before it ordered its heap by A*.
+
+    ``mults`` lists the multiplicities in fact order.  ``witness(removed)``
+    returns the fact indices of a witness walk of the database without the
+    facts set in the int bitmask ``removed``, or None when none is left.
+    Subsets are popped by total multiplicity, then push order, and
+    extended by each fact of their witness.  Returns the optimal cost, its
+    bitmask and the number of heap pops.
+    """
+    counter = itertools.count()
+    heap = [(0, next(counter), 0)]
+    seen = {0}
+    pops = 0
+    while heap:
+        cost, _, removed = heapq.heappop(heap)
+        pops += 1
+        walk = witness(removed)
+        if walk is None:
+            return cost, removed, pops
+        for i in sorted(set(walk)):
+            child = removed | 1 << i
+            if child not in seen:
+                seen.add(child)
+                heapq.heappush(heap, (cost + mults[i], next(counter), child))
+    raise AssertionError("removing every fact must falsify the query")
+
+
+def four_legged_search(words, member, leg_cap=None):
+    """The four-legged split search that tries every pair of positions:
+    for each word w1 split as before1 x after1 and each word w2 split as
+    before2 x after2, shortest words first and all legs non-empty and at
+    most ``leg_cap`` long, the first pair for which ``member`` rejects
+    before1 x after2.  Returns (x, before1, after1, before2, after2) or
+    None.
+    """
+    ordered = sorted(words, key=lambda w: (len(w), w))
+
+    def short_enough(part):
+        return leg_cap is None or len(part) <= leg_cap
+
+    for w1 in ordered:
+        for i in range(1, len(w1) - 1):
+            x = w1[i]
+            before1, after1 = w1[:i], w1[i + 1 :]
+            if not (short_enough(before1) and short_enough(after1)):
+                continue
+            for w2 in ordered:
+                for j in range(1, len(w2) - 1):
+                    if w2[j] != x:
+                        continue
+                    before2, after2 = w2[:j], w2[j + 1 :]
+                    if not (short_enough(before2) and short_enough(after2)):
+                        continue
+                    if not member(before1 + (x,) + after2):
+                        return (x, before1, after1, before2, after2)
+    return None

@@ -1,12 +1,15 @@
 """Complexity classification: detectors and the full pipeline."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
+import oracles
 from rpqres import classifier, lang
-from rpqres.automata import automaton_for, language_words
+from rpqres.automata import accepts, automaton_for, language_words, reduce_regular
+from rpqres.errors import InputError, ResourceCapError
 from rpqres.classifier import (
     NP_HARD,
     PTIME,
@@ -17,12 +20,11 @@ from rpqres.classifier import (
     classify,
     endpoint_graph,
     is_bcl,
-    is_chain_language,
     is_four_legged_finite,
     match_known_hard,
     matches_submod_pattern,
 )
-from rpqres.errors import InputError
+from test_acceptance import _random_regex
 
 
 def words(text):
@@ -54,6 +56,33 @@ def test_four_legged_detection():
     hit = is_four_legged_finite(words("axb\ncxd"))
     assert hit is not None
     assert hit.letter == "x"
+    # the split a|x|b finds nothing, which says nothing about a|y|b
+    hit = is_four_legged_finite(words("axb\nayb\ncyd"))
+    assert hit == ("y", ("a",), ("b",), ("c",), ("d",))
+
+
+def test_four_legged_search_matches_the_pairwise_search():
+    # criterion 09's random languages, reduced as the classifier does and
+    # as written (larger word sets), cut at the leg cap; the pairwise
+    # search is slow past a few dozen words
+    rng = random.Random(909)
+    found = 0
+    for _ in range(200):
+        A = automaton_for(_random_regex(rng, 4))
+        for language in (reduce_regular(A), A):
+            for leg_cap in (2, 3, 4):
+                try:
+                    ws = language_words(language, max_len=2 * leg_cap + 1, max_words=40)
+                except ResourceCapError:
+                    continue
+
+                def member(w, language=language):
+                    return accepts(language, w)
+
+                got = classifier._four_legged_search(ws, member, leg_cap)
+                assert got == oracles.four_legged_search(ws, member, leg_cap)
+                found += got is not None
+    assert found >= 50
 
 
 def test_four_legged_requires_reduced_input():
@@ -65,8 +94,8 @@ def test_chain_violation_reports():
     assert chain_violation(words("ab\nbc")) is None
     assert chain_violation(words("aba")) is not None
     assert "b" in chain_violation(words("abc\nbd"))
-    assert is_chain_language(words("ab\nbc\nca"))
-    assert not is_chain_language(words("aba"))
+    assert chain_violation(words("ab\nbc\nca")) is None
+    assert chain_violation(words("aba")) is not None
 
 
 def test_endpoint_graph():
@@ -200,7 +229,9 @@ def test_classify_neutral_letter():
 
 
 def test_classify_unknown():
-    for text in ("abcd|be", "abc|bcd", "abc|bef", "ax*b|xd"):
+    # a(b|c)*a: every word up to 13 letters is tried at the default leg
+    # cap, and no split is four-legged
+    for text in ("abcd|be", "abc|bcd", "abc|bef", "ax*b|xd", "a(b|c)*a"):
         verdict = c(text)
         assert verdict.status == UNKNOWN, text
         assert verdict.method is None

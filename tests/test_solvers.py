@@ -15,7 +15,13 @@ import weakref
 import pytest
 
 import oracles
-from rpqres import automata, flow, graphdb, solvers
+
+try:  # optional: an independent MILP solver to check against
+    import numpy as np
+    from scipy import optimize
+except ImportError:
+    optimize = None
+from rpqres import automata, flow, gadgets, graphdb, solvers
 from rpqres.automata import automaton_for, minimize, words_to_nfa
 from rpqres.errors import InputError, ResourceCapError, SolverRefusal
 from rpqres.graphdb import Fact, GraphDB
@@ -118,21 +124,112 @@ def test_exact_masks_reach_past_64_facts():
     assert answer.contingency == {Fact("z0", "a", "z1")}
 
 
-def test_exact_builds_one_product_and_walks_once_per_pop(monkeypatch):
-    calls = {"product": 0, "witness_walk": 0, "heappop": 0}
-    for module, name in ((graphdb, "product"), (graphdb, "witness_walk"), (heapq, "heappop")):
+def best_first(db, spec):
+    """The value and heap pops of the plain best-first search, on the
+    same product and witness walks."""
+    prod = graphdb.product(db, automaton_for(spec))
+    index = {fact: i for i, fact in enumerate(prod.facts)}
+
+    def witness(removed):
+        walk = graphdb.witness_walk(prod, removed)
+        return None if walk is None else [index[fact] for fact in walk]
+
+    value, _, pops = oracles.best_first_search([m for _, m in db.entries], witness)
+    return value, pops
+
+
+def four_cycle():
+    """A 4-cycle of aa facts: two facts break every aa walk."""
+    return graphdb.parse_db("p a q\nq a r\nr a s\ns a p\n")
+
+
+def four_cycle_encoding():
+    """The aa gadget encoding of a 4-cycle, the benchmark's hard case:
+    vertex cover number 2, plus 2 for each of the 4 gadget copies."""
+    cycle = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")]
+    return gadgets.encode_graph(cycle, gadgets.builtin_gadgets()["aa"])
+
+
+@pytest.mark.parametrize(
+    "make_db, value", [(four_cycle, 2), (four_cycle_encoding, 10)],
+    ids=["4-cycle", "4-cycle-encoding"],
+)
+def test_exact_builds_one_product_and_pops_at_most_best_first(make_db, value, monkeypatch):
+    db = make_db()
+    best_first_value, best_first_pops = best_first(db, "aa")
+    assert best_first_value == value
+    calls = {"product": 0, "heappop": 0}
+    for module, name in ((graphdb, "product"), (heapq, "heappop")):
 
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    # a 4-cycle of aa facts: two facts break every aa walk
-    db = graphdb.parse_db("p a q\nq a r\nr a s\ns a p\n")
-    answer = solvers.resilience_exact(db, "aa")
-    assert answer.value == 2
+    answer = solvers.resilience_exact(db, "aa", fact_cap=len(db))
+    assert answer.value == value
     assert calls["product"] == 1
-    assert calls["witness_walk"] == calls["heappop"] > 1
+    assert calls["heappop"] <= best_first_pops
+
+
+@pytest.mark.parametrize("spec", ["ax*b", "a(b|c)*a", "aa", "ab|bc|ca"])
+def test_packing_bound_never_exceeds_resilience(spec):
+    rng = random.Random(f"bound {spec}")
+    A = automaton_for(spec)
+    tight = 0
+    for _ in range(30):
+        db = random_db(rng, "abcx", max_facts=8, max_nodes=4, max_mult=4)
+        prod = graphdb.product(db, A)
+        mults = [m for _, m in db.entries]
+        index = {fact: i for i, fact in enumerate(prod.facts)}
+        for _ in range(3):
+            removed = rng.getrandbits(len(db)) & rng.getrandbits(len(db))
+            walk = graphdb.witness_walk(prod, removed)
+            if walk is None:
+                continue
+            bound = solvers._packing_bound(prod, mults, index, removed, walk)
+            rest = db.without(f for i, f in enumerate(prod.facts) if removed >> i & 1)
+            resilience = oracles.brute_resilience(rest, A)
+            assert 0 < bound <= resilience, (spec, db.entries, removed)
+            tight += bound == resilience
+    assert tight
+
+
+def milp_resilience(db, words):
+    """Resilience of a finite language as a minimum-weight hitting set of
+    its match fact sets, solved by scipy's mixed-integer LP solver."""
+    facts = db.facts()
+    column = {fact: i for i, fact in enumerate(facts)}
+    matches = graphdb.enumerate_matches(db, words)
+    if not matches:
+        return 0
+    rows = np.zeros((len(matches), len(facts)))
+    for r, match in enumerate(matches):
+        for fact in match.facts:
+            rows[r, column[fact]] = 1
+    result = optimize.milp(
+        c=[db.mult(fact) for fact in facts],
+        constraints=optimize.LinearConstraint(rows, lb=1),
+        integrality=np.ones(len(facts)),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.success
+    return round(result.fun)
+
+
+@pytest.mark.skipif(optimize is None, reason="needs scipy")
+@pytest.mark.parametrize("spec", ["aa", "ab|bc|ca", "axb|cxd", "abc|be|ef"])
+def test_exact_matches_a_milp_hitting_set_at_full_size(spec):
+    rng = random.Random(f"milp {spec}")
+    words = automata.language_words(automaton_for(spec))
+    letters = sorted({letter for word in words for letter in word})
+    for _ in range(6):
+        db = random_db(rng, letters, max_facts=40, max_nodes=5, max_mult=3)
+        while len(db) < 15 or len(db) > solvers.DEFAULT_EXACT_CAP:
+            db = random_db(rng, letters, max_facts=40, max_nodes=5, max_mult=3)
+        answer = solvers.resilience_exact(db, spec)
+        assert answer.value == milp_resilience(db, words), (spec, db.entries)
+        check_answer(db, spec, answer)
 
 
 # ---------------------------------------------------------------------------
