@@ -85,16 +85,16 @@ def make_nfa(states, initial, final, transitions, alphabet=()) -> EpsNFA:
     )
 
 
-def _eps_closure(eps: dict, states: Iterable) -> frozenset:
-    """The states reachable from the given ones along the ``eps`` map."""
-    seen = set(states)
+def reach(adjacency: dict, seeds: Iterable) -> set:
+    """Everything reachable from the seeds along the adjacency lists."""
+    seen = set(seeds)
     stack = list(seen)
     while stack:
-        for t in eps.get(stack.pop(), ()):
+        for t in adjacency.get(stack.pop(), ()):
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
-    return frozenset(seen)
+    return seen
 
 
 def _build_tables(A: EpsNFA) -> Tables:
@@ -116,7 +116,7 @@ def _build_tables(A: EpsNFA) -> Tables:
     def closure(s):
         found = closures.get(s)
         if found is None:
-            found = closures[s] = _eps_closure(eps, (s,))
+            found = closures[s] = frozenset(reach(eps, (s,)))
         return found
 
     after = {
@@ -126,7 +126,7 @@ def _build_tables(A: EpsNFA) -> Tables:
         }
         for src, moves in by_letter.items()
     }
-    return Tables(by_letter, eps, _eps_closure(eps, A.initial), after)
+    return Tables(by_letter, eps, frozenset(reach(eps, A.initial)), after)
 
 
 def _union(parts) -> frozenset:
@@ -177,19 +177,7 @@ def trim(A: EpsNFA) -> EpsNFA:
     for src, _, dst in A.transitions:
         fwd.setdefault(src, set()).add(dst)
         rev.setdefault(dst, set()).add(src)
-
-    def reach(seeds, adj):
-        seen = set(seeds)
-        stack = list(seen)
-        while stack:
-            s = stack.pop()
-            for t in adj.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    useful = reach(A.initial, fwd) & reach(A.final, rev)
+    useful = reach(fwd, A.initial) & reach(rev, A.final)
     return EpsNFA(
         frozenset(useful),
         A.initial & useful,

@@ -214,10 +214,6 @@ def bcl_analysis(language: Iterable[Word]) -> BclAnalysis:
     return BclAnalysis(True, None, sides, None)
 
 
-def is_bcl(language: Iterable[Word]) -> bool:
-    return bcl_analysis(language).is_bcl
-
-
 class SubmodPattern(NamedTuple):
     n: int
     letters: tuple[str, ...]  # a_1 ... a_{n+1} of the unmirrored form

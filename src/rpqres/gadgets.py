@@ -483,6 +483,19 @@ def builtin_gadgets() -> dict[str, PreGadget]:
     return {"aa": chain, "aaa": chain}
 
 
+_TOKEN = "a non-empty string without whitespace or #"
+
+
+def _is_token(value) -> bool:
+    """Whether a value can stand as one field of the database text format."""
+    return (
+        isinstance(value, str)
+        and value != ""
+        and "#" not in value
+        and not any(c.isspace() for c in value)
+    )
+
+
 def load_gadget(text: str) -> tuple[PreGadget, Optional[int]]:
     """Parse the JSON gadget document; returns the pre-gadget and the
     optional expected odd path length."""
@@ -497,13 +510,19 @@ def load_gadget(text: str) -> tuple[PreGadget, Optional[int]]:
         raise InputError(f"gadget file lacks {', '.join(sorted(missing))}")
     facts = doc["facts"]
     if not isinstance(facts, list) or not all(
-        isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
+        isinstance(f, list) and len(f) == 3 and all(map(_is_token, f))
         for f in facts
     ):
-        raise InputError("facts must be [tail, label, head] string triples")
+        raise InputError(f"facts must be [tail, label, head] triples, each {_TOKEN}")
+    for key in ("t_in", "t_out", "label"):
+        if not _is_token(doc[key]):
+            raise InputError(f"{key} must be {_TOKEN}")
     expected = doc.get("expected_odd_length")
     if expected is not None and (
-        not isinstance(expected, int) or expected < 1 or expected % 2 == 0
+        isinstance(expected, bool)
+        or not isinstance(expected, int)
+        or expected < 1
+        or expected % 2 == 0
     ):
         raise InputError("expected_odd_length must be a positive odd integer")
     gadget = PreGadget(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .automata import EpsNFA
+from .automata import EpsNFA, reach
 from .errors import InputError
 from .lang import Word
 
@@ -156,18 +156,6 @@ def serialize_db(db: GraphDB) -> str:
 
 # ---------------------------------------------------------------------------
 # satisfaction
-
-
-def reach(adjacency: dict, seeds) -> set:
-    """Everything reachable from the seeds along the adjacency lists."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for w in adjacency.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 class Product(NamedTuple):

@@ -5,10 +5,10 @@ of a fact set whose removal makes the query false; under set semantics all
 multiplicities are first collapsed to one.  It is infinite exactly when
 the language contains the empty word.
 
-Four solvers are provided: an exact branch-and-bound search usable on any
-language but capped in database size, a min-cut reduction for local
-languages, a min-cut reduction for bipartite chain languages, and a
-restricted-subset enumeration for the two-word submodular pattern.  The
+Four solvers are provided: an exact A* search usable on any language but
+capped in database size, and min-cut reductions for local languages, for
+bipartite chain languages and for the two-word submodular pattern; the
+three reductions build their networks through one shared builder.  The
 ``resilience`` entry point picks a solver from the classifier verdict.
 """
 
@@ -28,7 +28,6 @@ from .graphdb import Fact, GraphDB
 from .lang import Word
 
 DEFAULT_EXACT_CAP = 22
-DEFAULT_Z_CAP = 20
 
 LanguageSpec = Union[str, lang.Regex, EpsNFA, Iterable[Word]]
 
@@ -155,11 +154,12 @@ def _packing_bound(prod, mults, index, removed, walk) -> int:
 def _product_network(fact_arcs, unbounded_arcs, sources, targets):
     """The flow network of a product of the database with a language.
 
-    ``fact_arcs`` are ``(tail, head, fact, mult)`` tuples, one
-    capacity-mult edge per fact; ``unbounded_arcs`` are ``(tail, head)``
-    pairs; ``sources`` and ``targets`` are the vertices attached, by
-    unbounded edges, from the network's source and to its target.  Returns
-    the network and a map from edge index to fact.
+    ``fact_arcs`` are ``(tail, head, facts, mult)`` tuples, one
+    capacity-mult edge each, tagged with the tuple of facts that cutting
+    it removes; ``unbounded_arcs`` are ``(tail, head)`` pairs; ``sources``
+    and ``targets`` are the vertices attached, by unbounded edges, from the
+    network's source and to its target.  Returns the network and a map
+    from edge index to facts.
 
     Only vertices forward-reachable from a source attachment and
     backward-reachable to a target attachment are added, so every edge
@@ -175,16 +175,16 @@ def _product_network(fact_arcs, unbounded_arcs, sources, targets):
     for tail, head in unbounded_arcs:
         succ.setdefault(tail, []).append(head)
         pred.setdefault(head, []).append(tail)
-    useful = graphdb.reach(succ, sources) & graphdb.reach(pred, targets)
+    useful = automata.reach(succ, sources) & automata.reach(pred, targets)
 
     net = flow.FlowNetwork("source", "target")
     tag = {}
     for v in sources:
         if v in useful:
             net.add_edge("source", v, INF)
-    for tail, head, fact, m in fact_arcs:
+    for tail, head, facts, m in fact_arcs:
         if tail in useful and head in useful:
-            tag[net.add_edge(tail, head, m)] = fact
+            tag[net.add_edge(tail, head, m)] = facts
     for tail, head in unbounded_arcs:
         if tail in useful and head in useful:
             net.add_edge(tail, head, INF)
@@ -194,44 +194,22 @@ def _product_network(fact_arcs, unbounded_arcs, sources, targets):
     return net, tag
 
 
+def _cut_facts(net, tag) -> tuple[int, frozenset]:
+    """The value of a minimum cut and the facts its edges remove."""
+    cut = flow.min_cut(net)
+    # every source-target path crosses a fact edge, so the cut is finite
+    assert not math.isinf(cut.value)
+    removed = frozenset(f for i in cut.edge_indices for f in tag[i])
+    return int(cut.value), removed
+
+
 # ---------------------------------------------------------------------------
 # local languages: min cut in the product network
 
 
-@dataclass(frozen=True)
-class ReadOnceMap:
-    """The language side of the local solver: the read-once form of a
-    local language without the empty word.
-
-    Each letter has one transition, ``letter_arc[letter] = (src, dst)``;
-    ``follow`` lists the epsilon successors of a state.  In the read-once
-    form every epsilon transition leads from a letter's out-state to a
-    letter's in-state, so epsilon moves never chain.
-    """
-
-    letter_arc: dict
-    follow: dict
-    initial: frozenset
-    final: frozenset
-
-
-def read_once_map(A: EpsNFA) -> ReadOnceMap:
-    """The read-once map of an automaton for a local language that does
-    not contain the empty word."""
-    ro = automata.trim(automata.eps_nfa_to_ro(A))
-    letter_arc = {}
-    follow: dict = {}
-    for src, label, dst in sorted(ro.transitions, key=str):
-        if label is None:
-            follow.setdefault(src, []).append(dst)
-        else:
-            letter_arc[label] = (src, dst)
-    return ReadOnceMap(letter_arc, follow, ro.initial, ro.final)
-
-
 def resilience_local(
     db: GraphDB,
-    language: Union[LanguageSpec, ReadOnceMap],
+    language: LanguageSpec,
     *,
     promise_local: bool = False,
     state_cap: int = automata.DEFAULT_STATE_CAP,
@@ -242,35 +220,40 @@ def resilience_local(
     the automaton.  Each fact yields one capacity-mult edge along the
     unique transition carrying its label; epsilon transitions, source
     attachments to initial states and target attachments from final
-    states are unbounded.  Cutting an edge set disconnecting source from
+    states are unbounded.  In the read-once form every epsilon transition
+    leads from a letter's out-state to a letter's in-state, so epsilon
+    moves never chain.  Cutting an edge set disconnecting source from
     target is exactly removing a fact set that breaks every accepted walk.
     Only pairs touched by a fact edge can lie on a source-target path, so
-    no others are built.  A precomputed ``ReadOnceMap`` is taken as
-    promised local.
+    no others are built.
     """
-    if isinstance(language, ReadOnceMap):
-        ro = language
-    else:
-        A = automata.automaton_for(language)
-        if automata.accepts(A, ()):
-            return ResilienceAnswer(INF, None, "local")
-        if not promise_local and not automata.is_local_language(A, state_cap):
-            raise SolverRefusal(
-                "the language is not local, so the read-once reduction"
-                " would overapproximate it"
-            )
-        ro = read_once_map(A)
+    A = automata.automaton_for(language)
+    if automata.accepts(A, ()):
+        return ResilienceAnswer(INF, None, "local")
+    if not promise_local and not automata.is_local_language(A, state_cap):
+        raise SolverRefusal(
+            "the language is not local, so the read-once reduction"
+            " would overapproximate it"
+        )
+    ro = automata.trim(automata.eps_nfa_to_ro(A))
+    letter_arc = {}
+    follow: dict = {}
+    for src, label, dst in sorted(ro.transitions, key=str):
+        if label is None:
+            follow.setdefault(src, []).append(dst)
+        else:
+            letter_arc[label] = (src, dst)
 
     fact_arcs = []
     for fact, m in db.entries:
-        hit = ro.letter_arc.get(fact.label)
+        hit = letter_arc.get(fact.label)
         if hit is not None:
-            fact_arcs.append(((fact.tail, hit[0]), (fact.head, hit[1]), fact, m))
+            fact_arcs.append(((fact.tail, hit[0]), (fact.head, hit[1]), (fact,), m))
     ends = dict.fromkeys(v for tail, head, _, _ in fact_arcs for v in (tail, head))
     unbounded_arcs = [
         ((node, state), (node, nxt))
         for node, state in ends
-        for nxt in ro.follow.get(state, ())
+        for nxt in follow.get(state, ())
         if (node, nxt) in ends
     ]
     net, tag = _product_network(
@@ -279,11 +262,8 @@ def resilience_local(
         [v for v in ends if v[1] in ro.initial],
         [v for v in ends if v[1] in ro.final],
     )
-    cut = flow.min_cut(net)
-    # every source-target path crosses a fact edge, so the cut is finite
-    assert not math.isinf(cut.value)
-    contingency = frozenset(tag[i] for i in cut.edge_indices)
-    return ResilienceAnswer(int(cut.value), contingency, "local")
+    value, contingency = _cut_facts(net, tag)
+    return ResilienceAnswer(value, contingency, "local")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +319,7 @@ def resilience_bcl(
     by_label_tail: dict = {}
     for fact, m in db.entries:
         if fact.label in long_labels and fact.label not in singles:
-            fact_arcs.append((("start", fact), ("end", fact), fact, m))
+            fact_arcs.append((("start", fact), ("end", fact), (fact,), m))
             by_label.setdefault(fact.label, []).append(fact)
             by_label_tail.setdefault((fact.label, fact.tail), []).append(fact)
 
@@ -363,31 +343,33 @@ def resilience_bcl(
         [("end", f) for a in endpoint_letters if a not in source_side
          for f in by_label.get(a, ())],
     )
-    cut = flow.min_cut(net)
-    assert not math.isinf(cut.value)
-    contingency = forced | frozenset(tag[i] for i in cut.edge_indices)
-    return ResilienceAnswer(forced_cost + int(cut.value), contingency, "bcl")
+    value, contingency = _cut_facts(net, tag)
+    return ResilienceAnswer(forced_cost + value, forced | contingency, "bcl")
 
 
 # ---------------------------------------------------------------------------
 # the submodular two-word pattern
 
 
-def resilience_submod(
-    db: GraphDB,
-    word: Word,
-    extra: str,
-    *,
-    z_cap: int = DEFAULT_Z_CAP,
-) -> ResilienceAnswer:
-    """Solver for {a_1...a_n, a_{n-1} a_{n+1}} with distinct letters.
+def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
+    """Min-cut solver for {a_1...a_n, a_{n-1} e} with distinct letters.
 
-    For a node set Z, removing every next-to-last-letter fact into Z and
-    every extra-letter fact out of the complement breaks the short word,
-    and leaves the long word to a single-word subproblem from which the
-    last-letter facts out of Z can be dropped.  Minimizing over Z needs
-    only nodes carrying both an incoming next-to-last fact and an
-    outgoing extra fact: others are forced one way for free.
+    A falsifying removal picks a node set Z whose nodes lose every a_{n-1}
+    fact into them; every other node loses its e facts out, and the long
+    word is then broken on the rest of the database, where the a_n facts
+    out of Z no longer matter.  So each node v has three options: join Z
+    and pay the a_{n-1} facts into v; stay out and pay the e and a_n facts
+    out of v; or stay out, pay the e facts out of v and cut every
+    a_1...a_{n-1} walk into v.
+
+    One network expresses them.  It is the product of the database with
+    the prefix a_1...a_{n-1}, vertex (v, k) being node v after k letters,
+    with the source attached to every (v, 0).  The exit edge
+    (v, n-1) -> exit_v, attached to the target, costs the cheaper of the
+    first two options; the entry edge entry_v -> (v, n-1), attached to the
+    source, costs the e facts out of v.  A cut crosses the exit edge only
+    when (v, n-1) is on the source side and the entry edge only when it
+    is on the target side, so the fact sets of the cut edges are disjoint.
     """
     word = tuple(word)
     if len(word) < 2:
@@ -396,54 +378,45 @@ def resilience_submod(
         raise SolverRefusal(
             "the submodular pattern needs pairwise distinct letters"
         )
-    a_last, a_prev = word[-1], word[-2]
-
-    incoming: dict = {}
-    outgoing: dict = {}
+    level = {letter: k for k, letter in enumerate(word[:-1])}
+    last = len(word) - 1
+    fact_arcs = []
+    into: dict = {}  # node -> a_{n-1} facts into it
+    out: dict = {}  # node -> e facts out of it
+    out_last: dict = {}  # node -> a_n facts out of it
     for fact, m in db.entries:
-        if fact.label == a_prev:
-            incoming[fact.head] = incoming.get(fact.head, 0) + m
-        if fact.label == extra:
-            outgoing[fact.tail] = outgoing.get(fact.tail, 0) + m
+        k = level.get(fact.label)
+        if k is not None:
+            fact_arcs.append(((fact.tail, k), (fact.head, k + 1), (fact,), m))
+            if k + 1 == last:
+                into.setdefault(fact.head, []).append(fact)
+        elif fact.label == extra:
+            out.setdefault(fact.tail, []).append(fact)
+        elif fact.label == word[-1]:
+            out_last.setdefault(fact.tail, []).append(fact)
 
-    z_star = sorted(
-        v for v in db.adom() if incoming.get(v, 0) > 0 and outgoing.get(v, 0) > 0
-    )
-    if len(z_star) > z_cap:
-        raise ResourceCapError(
-            f"{len(z_star)} junction nodes exceed the enumeration cap"
-            f" of {z_cap}"
-        )
-    forced_in = frozenset(v for v in db.adom() if incoming.get(v, 0) == 0)
-    last_facts = [f for f in db.facts() if f.label == a_last]
-    alpha = read_once_map(automata.words_to_nfa({word}))
+    def cost(facts):
+        return sum(db.mult(f) for f in facts)
 
-    best = None
-    for size in range(len(z_star) + 1):
-        for chosen in itertools.combinations(z_star, size):
-            zone = forced_in | set(chosen)
-            dropped = frozenset(f for f in last_facts if f.tail in zone)
-            sub = resilience_local(db.without(dropped), alpha)
-            total = (
-                sum(incoming[v] for v in chosen)
-                + sum(outgoing[v] for v in z_star if v not in chosen)
-                + sub.value
-            )
-            if best is None or total < best[0]:
-                best = (total, set(chosen), sub.contingency)
-
-    value, chosen, sub_contingency = best
-    in_facts = frozenset(
-        f for f in db.facts() if f.label == a_prev and f.head in chosen
+    entries, exits = [], []
+    for v in sorted(into):
+        leaving = out.get(v, []) + out_last.get(v, [])
+        if not leaving:
+            continue
+        cheaper = min(into[v], leaving, key=cost)
+        fact_arcs.append(((v, last), ("exit", v), tuple(cheaper), cost(cheaper)))
+        exits.append(("exit", v))
+        if v in out:
+            fact_arcs.append((("entry", v), (v, last), tuple(out[v]), cost(out[v])))
+            entries.append(("entry", v))
+    net, tag = _product_network(
+        fact_arcs,
+        [],
+        [(v, 0) for v in sorted(db.adom())] + entries,
+        exits,
     )
-    out_facts = frozenset(
-        f
-        for f in db.facts()
-        if f.label == extra and f.tail in set(z_star) - chosen
-    )
-    contingency = in_facts | out_facts | sub_contingency
-    # the three parts are disjoint at an optimum, so multiplicities add up
-    assert value == sum(db.mult(f) for f in contingency)
+    value, contingency = _cut_facts(net, tag)
+    assert value == cost(contingency)
     return ResilienceAnswer(value, contingency, "submod")
 
 
@@ -461,7 +434,7 @@ def _finite_words(A: EpsNFA, state_cap: int) -> frozenset[Word]:
     )
 
 
-def _submod_dispatch(db: GraphDB, words: frozenset, z_cap: int) -> ResilienceAnswer:
+def _submod_dispatch(db: GraphDB, words: frozenset) -> ResilienceAnswer:
     pattern = classifier.matches_submod_pattern(words)
     if pattern is None:
         raise SolverRefusal(
@@ -470,8 +443,8 @@ def _submod_dispatch(db: GraphDB, words: frozenset, z_cap: int) -> ResilienceAns
         )
     word, extra = pattern.letters[:-1], pattern.letters[-1]
     if not pattern.mirrored:
-        return resilience_submod(db, word, extra, z_cap=z_cap)
-    answer = resilience_submod(graphdb.mirror_db(db), word, extra, z_cap=z_cap)
+        return resilience_submod(db, word, extra)
+    answer = resilience_submod(graphdb.mirror_db(db), word, extra)
     restored = frozenset(
         Fact(f.head, f.label, f.tail) for f in answer.contingency
     )
@@ -485,7 +458,6 @@ def resilience(
     semantics: str = "bag",
     solver: str = "auto",
     fact_cap: int = DEFAULT_EXACT_CAP,
-    z_cap: int = DEFAULT_Z_CAP,
     state_cap: int = automata.DEFAULT_STATE_CAP,
 ) -> ResilienceAnswer:
     """Compute resilience, picking a solver from the classification.
@@ -508,7 +480,7 @@ def resilience(
     if solver == "bcl":
         return resilience_bcl(db, A, state_cap=state_cap)
     if solver == "submod":
-        return _submod_dispatch(db, _finite_words(A, state_cap), z_cap)
+        return _submod_dispatch(db, _finite_words(A, state_cap))
     if solver != "auto":
         raise InputError(f"unknown solver {solver!r}")
 
@@ -519,7 +491,7 @@ def resilience(
             return resilience_local(db, analysis.reduced, promise_local=True)
         if verdict.method == "bcl":
             return resilience_bcl(db, analysis.words)
-        return _submod_dispatch(db, analysis.words, z_cap)
+        return _submod_dispatch(db, analysis.words)
 
     if len(db) > fact_cap:
         raise ResourceCapError(

@@ -264,6 +264,51 @@ def best_first_search(mults, witness):
     raise AssertionError("removing every fact must falsify the query")
 
 
+def submod_enumeration(db, word, extra, local):
+    """Resilience of {a_1...a_n, a_{n-1} e} by enumerating zones: the
+    submodular solver before it became one min-cut.
+
+    ``word`` is a_1...a_n and ``extra`` is e.  ``local(sub)`` returns the
+    resilience of the single word over the database ``sub`` as a pair
+    (value, contingency set).  A zone Z loses every a_{n-1} fact into it
+    and every other node its e facts out; the long word is then broken on
+    the database without the a_n facts out of Z.  Only the junction
+    nodes, with both an a_{n-1} fact in and an e fact out, are tried both
+    ways; a node without an a_{n-1} fact in joins Z for free and any other
+    stays out for free.  Returns the least total and its contingency set.
+    """
+    a_prev, a_last = word[-2], word[-1]
+    incoming = {}
+    outgoing = {}
+    for fact, m in db.entries:
+        if fact.label == a_prev:
+            incoming[fact.head] = incoming.get(fact.head, 0) + m
+        if fact.label == extra:
+            outgoing[fact.tail] = outgoing.get(fact.tail, 0) + m
+    junctions = sorted(v for v in incoming if v in outgoing)
+    forced_in = {v for v in db.adom() if v not in incoming}
+    best = None
+    for size in range(len(junctions) + 1):
+        for chosen in itertools.combinations(junctions, size):
+            zone = forced_in | set(chosen)
+            dropped = [f for f in db.facts() if f.label == a_last and f.tail in zone]
+            value, contingency = local(db.without(dropped))
+            total = (
+                sum(incoming[v] for v in chosen)
+                + sum(outgoing[v] for v in junctions if v not in chosen)
+                + value
+            )
+            if best is None or total < best[0]:
+                best = (total, set(chosen), contingency)
+    total, chosen, contingency = best
+    removed = {
+        f for f in db.facts()
+        if (f.label == a_prev and f.head in chosen)
+        or (f.label == extra and f.tail in junctions and f.tail not in chosen)
+    }
+    return total, frozenset(removed) | contingency
+
+
 def four_legged_search(words, member, leg_cap=None):
     """The four-legged split search that tries every pair of positions:
     for each word w1 split as before1 x after1 and each word w2 split as

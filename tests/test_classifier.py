@@ -19,7 +19,6 @@ from rpqres.classifier import (
     chain_violation,
     classify,
     endpoint_graph,
-    is_bcl,
     is_four_legged_finite,
     match_known_hard,
     matches_submod_pattern,
@@ -111,7 +110,6 @@ def test_bcl_analysis_bipartite():
     assert analysis.is_bcl
     side0, side1 = analysis.bipartition
     assert {"a", "c"} <= side0 | side1
-    assert is_bcl(words("ab\nbc"))
 
 
 def test_bcl_analysis_odd_cycle():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from rpqres import gadgets
@@ -247,6 +248,35 @@ def test_validate_gadget_inconclusive_exit_code(tmp_path):
     result = run("validate-gadget", str(gadget), "aa")
     assert result.exit_code == 3
     assert result.output.startswith("INCONCLUSIVE")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"t_in": ["t_in"]}, {"label": {"a": 1}}, {"rename": "n#1"}],
+    ids=["list t_in", "dict label", "node with #"],
+)
+def test_gadget_files_with_bad_fields_are_input_errors(tmp_path, change):
+    payload = json.loads(gadgets.save_gadget(gadgets.builtin_gadgets()["aa"]))
+    if "rename" in change:
+        payload["facts"] = [
+            [change["rename"] if x == "n1" else x for x in fact]
+            for fact in payload["facts"]
+        ]
+    else:
+        payload.update(change)
+    gadget = tmp_path / "bad.gadget"
+    write(gadget, json.dumps(payload))
+    graph = tmp_path / "edge.graph"
+    write(graph, "u v\n")
+    for args in (
+        ("validate-gadget", str(gadget), "aa"),
+        ("encode", str(graph), str(gadget)),
+    ):
+        result = run(*args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1
 
 
 def test_byte_identical_reruns(tmp_path):

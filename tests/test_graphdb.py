@@ -185,7 +185,7 @@ def test_product_keeps_only_pairs_that_reach_a_final_pair():
             assert fact < 0 or prod.facts[fact] != dead_end
             pred.setdefault(q, []).append(p)
     finals = [p for p, final in enumerate(prod.final) if final]
-    assert graphdb.reach(pred, finals) == kept
+    assert automata.reach(pred, finals) == kept
     assert all(not prod.arcs[p] for p in finals)
 
 

@@ -338,8 +338,8 @@ def on_some_path(net) -> set:
     return reach(forward, net.source) & reach(backward, net.target)
 
 
-@pytest.mark.parametrize("language", sorted(PRUNED_CASES))
-def test_networks_hold_only_useful_vertices(language, monkeypatch):
+def capture_networks(monkeypatch) -> list:
+    """The list that every network passed to ``flow.min_cut`` joins."""
     networks = []
     real_min_cut = flow.min_cut
 
@@ -348,6 +348,12 @@ def test_networks_hold_only_useful_vertices(language, monkeypatch):
         return real_min_cut(net)
 
     monkeypatch.setattr(flow, "min_cut", capture)
+    return networks
+
+
+@pytest.mark.parametrize("language", sorted(PRUNED_CASES))
+def test_networks_hold_only_useful_vertices(language, monkeypatch):
+    networks = capture_networks(monkeypatch)
     letters, _ = PRUNED_CASES[language]
     rng = random.Random(language)
     for _ in range(10):
@@ -510,15 +516,100 @@ def test_submod_matches_exact():
             check_answer(db, "abc|be", got)
 
 
-def test_submod_zone_cap():
-    facts = {}
-    for i in range(25):
-        facts[Fact(f"p{i}", "b", f"q{i}")] = 1
-        facts[Fact(f"q{i}", "c", f"r{i}")] = 1
-        facts[Fact(f"q{i}", "e", f"s{i}")] = 1
-    db = GraphDB.from_pairs(facts)
-    with pytest.raises(ResourceCapError):
-        solvers.resilience_submod(db, parse_word("abc"), "e", z_cap=20)
+SUBMOD_PATTERNS = (("ab", "e"), ("abc", "e"), ("abcd", "f"), ("abcde", "g"))
+
+
+def junction_db(rng, word, extra, junctions, noise):
+    """A random bag database for {word, word[-2] extra} whose junction
+    nodes, those with a word[-2] fact in and an extra fact out, are
+    exactly j0 ... j(junctions - 1).
+
+    Each junction gets one word[-2] fact in and one extra fact out; the
+    ``noise`` further distinct facts carry any letter.  Of the other
+    nodes, only k0 and k1 have word[-2] facts in, and they have no extra
+    facts out.
+    """
+    hubs = [f"j{i}" for i in range(junctions)]
+    sinks = ["k0", "k1"]
+    nodes = hubs + sinks + [f"n{i}" for i in range(5)]
+    pool = {}
+    for hub in hubs:
+        pool[Fact(rng.choice(nodes), word[-2], hub)] = rng.randint(1, 3)
+        pool[Fact(hub, extra, rng.choice(nodes))] = rng.randint(1, 3)
+    while len(pool) < 2 * junctions + noise:
+        label = rng.choice(word + extra)
+        tails = [v for v in nodes if v not in sinks] if label == extra else nodes
+        heads = hubs + sinks if label == word[-2] else nodes
+        fact = Fact(rng.choice(tails), label, rng.choice(heads))
+        pool.setdefault(fact, rng.randint(1, 3))
+    return GraphDB.from_pairs(pool)
+
+
+def local_pair(word):
+    def solve(db):
+        answer = solvers.resilience_local(db, [parse_word(word)], promise_local=True)
+        return answer.value, answer.contingency
+
+    return solve
+
+
+@pytest.mark.parametrize("word, extra", SUBMOD_PATTERNS)
+def test_submod_matches_the_junction_enumeration(word, extra, monkeypatch):
+    rng = random.Random(word)
+    spec = f"{word}|{word[-2]}{extra}"
+    mirrored = f"{word[::-1]}|{extra}{word[-2]}"
+    cuts = capture_networks(monkeypatch)
+    for junctions in (0, 1, 2, 3, 4, 5, 6, 8, 10, 10):
+        db = junction_db(rng, word, extra, junctions, noise=24)
+        assert len(db) > solvers.DEFAULT_EXACT_CAP
+        want, _ = oracles.submod_enumeration(db, word, extra, local_pair(word))
+        del cuts[:]
+        got = solvers.resilience_submod(db, parse_word(word), extra)
+        assert len(cuts) == 1
+        assert got.value == want, (junctions, db.entries)
+        check_answer(db, spec, got)
+        flipped = graphdb.mirror_db(db)
+        back = solvers.resilience(flipped, mirrored, solver="submod")
+        assert back.value == want
+        check_answer(flipped, mirrored, back)
+
+
+def test_submod_enumeration_matches_exact():
+    rng = random.Random(9)
+    for word, extra in SUBMOD_PATTERNS:
+        spec = f"{word}|{word[-2]}{extra}"
+        for _ in range(10):
+            db = junction_db(rng, word, extra, rng.randint(0, 3), noise=8)
+            value, contingency = oracles.submod_enumeration(
+                db, word, extra, local_pair(word)
+            )
+            assert value == solvers.resilience_exact(db, spec).value
+            check_answer(db, spec, solvers.ResilienceAnswer(value, contingency, "enum"))
+
+
+def test_submod_thousand_junctions_in_one_cut(monkeypatch):
+    # a disjoint union of small components, each with at least one junction
+    rng = random.Random(1000)
+    pool = {}
+    want = 0
+    for i in range(1000):
+        component = junction_db(rng, "abc", "e", 1, noise=5)
+        renamed = GraphDB.from_pairs(
+            (Fact(f"{f.tail}_{i}", f.label, f"{f.head}_{i}"), m)
+            for f, m in component.entries
+        )
+        want += solvers.resilience_exact(renamed, "abc|be").value
+        pool.update(renamed.entries)
+    db = GraphDB.from_pairs(pool)
+    junctions = {f.head for f in db.facts() if f.label == "b"} & {
+        f.tail for f in db.facts() if f.label == "e"
+    }
+    assert len(junctions) >= 1000
+    cuts = capture_networks(monkeypatch)
+    answer = solvers.resilience_submod(db, parse_word("abc"), "e")
+    assert len(cuts) == 1
+    assert answer.value == want
+    assert answer.value == sum(db.mult(f) for f in answer.contingency)
 
 
 # ---------------------------------------------------------------------------
