@@ -5,17 +5,16 @@ of a fact set whose removal makes the query false; under set semantics all
 multiplicities are first collapsed to one.  It is infinite exactly when
 the language contains the empty word.
 
-Four solvers are provided: an exact A* search usable on any language but
-capped in database size, and min-cut reductions for local languages, for
-bipartite chain languages and for the two-word submodular pattern; the
-three reductions build their networks through one shared builder.  The
-``resilience`` entry point picks a solver from the classifier verdict.
+Four solvers are provided: an exact implicit-hitting-set search over
+witness walks, usable on any language but capped in database size, and
+min-cut reductions for local languages, for bipartite chain languages and
+for the two-word submodular pattern; the three reductions build their
+networks through one shared builder.  The ``resilience`` entry point picks
+a solver from the classifier verdict.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -56,27 +55,22 @@ class ResilienceAnswer:
 def resilience_exact(
     db: GraphDB, language: LanguageSpec, fact_cap: int = DEFAULT_EXACT_CAP
 ) -> ResilienceAnswer:
-    """Optimal contingency set by A* search over fact subsets.
+    """Optimal contingency set as an implicit hitting set of witness walks.
 
-    A satisfying subset is only extended by facts of one concrete witness
-    walk, which keeps the search sound: any falsifying superset must
-    remove at least one fact of every walk, in particular of the witness.
-    Subsets are popped in order of their key, their total multiplicity
-    plus a lower bound on what is still to pay, so the first one whose
-    removal falsifies the query is optimal.
-
-    The bound is ``_packing_bound``, computed when a subset is popped.  A
-    child is pushed with the key its parent's bound implies: removing
-    fact ``i`` and then the child's optimum falsifies the parent's
-    sub-database, so the child still has to pay at least the parent's
-    bound less ``mults[i]``.  A popped subset whose own bound lifts its
-    key goes back on the heap with the higher key, unless it would be
-    popped next anyway.  Ties go to the costlier subset, then to the
-    earlier push.
+    Resilience is the least total multiplicity of a fact set that meets
+    every witness walk.  The search keeps a list of cores, the fact sets
+    of walks found so far, and a minimum hitting set ``removed`` of them.
+    Each round searches for a walk that avoids ``removed``; with none left
+    ``removed`` falsifies the query, and since every contingency set hits
+    the cores, it is optimal.  Otherwise the walk's facts become a core,
+    then walks avoiding ``removed`` and the round's earlier cores too, until
+    none is left, and ``removed`` becomes a minimum hitting set of all the
+    cores.  Each round adds a core that the old ``removed`` misses, so the
+    loop ends.
 
     The product of the database with the automaton is built once per call;
-    each pop searches it for a witness with the subset's facts skipped.
-    Subsets are int bitmasks over the fact order of ``db.entries``.
+    each walk search skips the facts set in an int bitmask over the fact
+    order of ``db.entries``.
     """
     A = automata.automaton_for(language)
     if automata.accepts(A, ()):
@@ -89,62 +83,91 @@ def resilience_exact(
     prod = graphdb.product(db, A)
     mults = [m for _, m in db.entries]
     index = {fact: i for i, fact in enumerate(prod.facts)}
-    counter = itertools.count()
-    heap = [(0, 0, next(counter), 0)]
-    seen = {0}
-    lifted = set()  # subsets pushed back with their own bound as key
-    while heap:
-        key, neg_cost, _, removed = heapq.heappop(heap)
-        cost = -neg_cost
-        witness = graphdb.witness_walk(prod, removed)
-        if witness is None:
-            # keys never exceed the cost of the best falsifying superset
-            assert key == cost
+    cores: list[int] = []
+    cost, removed = 0, 0
+    while True:
+        walk = graphdb.witness_walk(prod, removed)
+        if walk is None:
             contingency = frozenset(
                 fact for i, fact in enumerate(prod.facts) if removed >> i & 1
             )
             return ResilienceAnswer(cost, contingency, "exact")
-        bound = key - cost
-        if removed not in lifted:
-            bound = max(bound, _packing_bound(prod, mults, index, removed, witness))
-            # pushed back, the entry would lose every tie to the heap's top
-            if cost + bound > key and heap and (cost + bound, neg_cost) >= heap[0][:2]:
-                lifted.add(removed)
-                heapq.heappush(heap, (cost + bound, neg_cost, next(counter), removed))
-                continue
-        for i in sorted({index[fact] for fact in witness}):
-            child = removed | 1 << i
-            if child not in seen:
-                seen.add(child)
-                child_cost = cost + mults[i]
-                child_key = child_cost + max(0, bound - mults[i])
-                heapq.heappush(heap, (child_key, -child_cost, next(counter), child))
-    raise AssertionError("search space exhausted without a falsifying subset")
+        blocked = removed
+        while walk is not None:
+            core = 0
+            for fact in walk:
+                core |= 1 << index[fact]
+            cores.append(core)
+            blocked |= core
+            walk = graphdb.witness_walk(prod, blocked)
+        # more cores never lower the minimum, so the last one is a floor
+        cost, removed = _min_hitting_set(cores, mults, cost, removed)
 
 
-def _packing_bound(prod, mults, index, removed, walk) -> int:
-    """A lower bound on the resilience of the product's database without
-    the facts set in ``removed``, whose witness ``walk`` is given.
+def _min_hitting_set(cores, mults, floor: int = 0, start: int = 0) -> tuple[int, int]:
+    """A minimum-weight hitting set of the int bitmasks ``cores``, as its
+    weight and bitmask; fact ``i`` weighs ``mults[i]``.  ``floor`` is a
+    known lower bound on the weight, and the search stops at a hitting set
+    that reaches it.  ``start`` is a fact set to begin from: it is completed
+    by the cheapest fact of each core it misses, and the search looks for a
+    lighter set than that.
 
-    Witness walks are packed greedily: each adds the smallest residual
-    multiplicity ``d`` among its facts to the bound and takes ``d`` from
-    each of them, and a fact left with none is skipped by the next walk
-    search.  The packed amounts are a feasible solution of the dual of
-    the hitting-set LP over walk fact sets, so their sum never exceeds
-    the cost of a fact set that meets every walk.
+    Depth-first branch and bound on an explicit stack.  A node chooses
+    some facts and excludes others.  It branches on the unhit core with the
+    fewest facts still open: child ``j`` chooses that core's ``j``-th
+    cheapest open fact and excludes the ones before it, so the children
+    split the hitting sets below the node.  A node is pruned when a core
+    has no open fact left, or when its weight plus a lower bound on the
+    rest reaches the best set found.  The bound packs unhit cores with
+    pairwise disjoint open facts, smallest first, and adds each one's
+    cheapest open fact: no fact can hit two of them.
     """
-    residual = {}
-    bound = 0
-    while walk is not None:
-        used = {index[fact] for fact in walk}
-        d = min(residual.get(i, mults[i]) for i in used)
-        bound += d
-        for i in used:
-            left = residual[i] = residual.get(i, mults[i]) - d
-            if not left:
-                removed |= 1 << i
-        walk = graphdb.witness_walk(prod, removed)
-    return bound
+    order = {core: sorted(_bits(core), key=lambda i: (mults[i], i)) for core in cores}
+    cores = sorted(order, key=lambda core: (core.bit_count(), core))
+    best = start
+    for core in cores:
+        if not core & best:
+            best |= 1 << order[core][0]
+    best_cost = sum(mults[i] for i in _bits(best))
+    stack = [(0, 0, 0)] if best_cost > floor else []  # (weight, chosen, excluded)
+    while stack:
+        cost, chosen, excluded = stack.pop()
+        if cost >= best_cost:
+            continue
+        bound, packed, branch, width = 0, 0, None, 0
+        for core in cores:
+            if core & chosen:
+                continue
+            live = core & ~excluded
+            if not live:
+                break
+            if branch is None or live.bit_count() < width:
+                branch, width = core, live.bit_count()
+            if not live & packed:
+                packed |= live
+                bound += next(mults[i] for i in order[core] if live >> i & 1)
+        else:
+            if branch is None:
+                best_cost, best = cost, chosen
+                if cost <= floor:
+                    break
+            elif cost + bound < best_cost:
+                children = []
+                for i in order[branch]:
+                    if not excluded >> i & 1:
+                        if cost + mults[i] < best_cost:
+                            children.append((cost + mults[i], chosen | 1 << i, excluded))
+                        excluded |= 1 << i
+                stack.extend(reversed(children))
+    return best_cost, best
+
+
+def _bits(mask: int):
+    """The indices of the bits set in ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,8 @@ def brute_reduce(words) -> frozenset:
 
 def best_first_search(mults, witness):
     """Plain best-first search over fact subsets, without a lower bound:
-    the exact solver's search before it ordered its heap by A*.
+    the exact solver's first search, and the reference that its implicit
+    hitting-set search is counted against, one walk search per pop.
 
     ``mults`` lists the multiplicities in fact order.  ``witness(removed)``
     returns the fact indices of a witness walk of the database without the

@@ -7,7 +7,6 @@ cost).
 """
 
 import gc
-import heapq
 import math
 import random
 import weakref
@@ -155,44 +154,89 @@ def four_cycle_encoding():
     ids=["4-cycle", "4-cycle-encoding"],
 )
 def test_exact_builds_one_product_and_pops_at_most_best_first(make_db, value, monkeypatch):
+    """The exact search asks for no more witness walks than the plain
+    best-first search pops subsets, each pop costing one walk search."""
     db = make_db()
     best_first_value, best_first_pops = best_first(db, "aa")
     assert best_first_value == value
-    calls = {"product": 0, "heappop": 0}
-    for module, name in ((graphdb, "product"), (heapq, "heappop")):
+    calls = {"product": 0, "witness_walk": 0}
+    for name in calls:
 
-        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+        def counting(*args, _real=getattr(graphdb, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(graphdb, name, counting)
     answer = solvers.resilience_exact(db, "aa", fact_cap=len(db))
     assert answer.value == value
     assert calls["product"] == 1
-    assert calls["heappop"] <= best_first_pops
+    assert 0 < calls["witness_walk"] <= best_first_pops
 
 
-@pytest.mark.parametrize("spec", ["ax*b", "a(b|c)*a", "aa", "ab|bc|ca"])
-def test_packing_bound_never_exceeds_resilience(spec):
-    rng = random.Random(f"bound {spec}")
-    A = automaton_for(spec)
-    tight = 0
-    for _ in range(30):
-        db = random_db(rng, "abcx", max_facts=8, max_nodes=4, max_mult=4)
-        prod = graphdb.product(db, A)
-        mults = [m for _, m in db.entries]
-        index = {fact: i for i, fact in enumerate(prod.facts)}
-        for _ in range(3):
-            removed = rng.getrandbits(len(db)) & rng.getrandbits(len(db))
-            walk = graphdb.witness_walk(prod, removed)
-            if walk is None:
-                continue
-            bound = solvers._packing_bound(prod, mults, index, removed, walk)
-            rest = db.without(f for i, f in enumerate(prod.facts) if removed >> i & 1)
-            resilience = oracles.brute_resilience(rest, A)
-            assert 0 < bound <= resilience, (spec, db.entries, removed)
-            tight += bound == resilience
-    assert tight
+def exhaustive_hitting_set(cores, mults):
+    """The least weight of a fact set meeting every core, by trying all."""
+    return min(
+        sum(m for i, m in enumerate(mults) if chosen >> i & 1)
+        for chosen in range(1 << len(mults))
+        if all(core & chosen for core in cores)
+    )
+
+
+def random_cores(rng, n):
+    """Core lists of several shapes over facts 0..n-1."""
+    shape = rng.choice(["random", "duplicates", "nested", "single", "singletons"])
+    if shape == "single":
+        return [rng.randrange(1, 1 << n)]
+    if shape == "singletons":
+        return [1 << i for i in rng.sample(range(n), rng.randint(1, n))]
+    cores = [rng.randrange(1, 1 << n) & rng.randrange(1, 1 << n) or 1
+             for _ in range(rng.randint(1, 2 * n))]
+    if shape == "duplicates":
+        cores += rng.choices(cores, k=len(cores))
+    elif shape == "nested":
+        cores += [core & rng.randrange(1 << n) or core for core in cores]
+    rng.shuffle(cores)
+    return cores
+
+
+def test_min_hitting_set_matches_an_exhaustive_minimum():
+    rng = random.Random("hitting set")
+    cases = [
+        # a worse hitting set found after a better one must not replace it
+        ([9, 4, 17, 3, 19, 4, 9, 48, 17, 48, 3, 19], [3, 2, 3, 4, 3, 4]),
+        ([28, 17, 34], [2, 1, 4, 4, 4, 2]),
+    ]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        cases.append((random_cores(rng, n), [rng.randint(1, 4) for _ in range(n)]))
+    for cores, mults in cases:
+        expected = exhaustive_hitting_set(cores, mults)
+        # any floor up to the minimum, starting from any fact set
+        for floor, start in ((0, 0), (rng.randint(0, expected), rng.getrandbits(len(mults)))):
+            cost, chosen = solvers._min_hitting_set(cores, mults, floor, start)
+            assert cost == expected, (cores, mults, floor, start)
+            assert cost == sum(m for i, m in enumerate(mults) if chosen >> i & 1)
+            assert all(core & chosen for core in cores), (cores, mults, floor, start)
+
+
+def test_min_hitting_set_searches_deep_without_recursion():
+    """1,100 forced singletons and a star whose hub the greedy start
+    misses: the search must choose every singleton on one path before it
+    finds the hub."""
+    singles = [1 << i for i in range(1_100)]
+    hub = 1 << 1_100
+    star = [hub | 1 << (1_101 + k) for k in range(3)]
+    mults = [1] * 1_100 + [2, 1, 1, 1]
+    cost, chosen = solvers._min_hitting_set(singles + star, mults)
+    assert cost == 1_102
+    assert chosen == sum(singles) | hub
+
+
+def test_exact_search_at_a_raised_fact_cap():
+    db = GraphDB.from_facts(Fact(f"u{i}", "a", f"v{i}") for i in range(1_100))
+    answer = solvers.resilience_exact(db, "a", fact_cap=len(db))
+    assert answer.value == 1_100
+    assert answer.contingency == frozenset(db.facts())
 
 
 def milp_resilience(db, words):
