@@ -711,36 +711,6 @@ def is_local_language(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     return is_subset(eps_nfa_to_ro(A), A, state_cap)
 
 
-class CartesianCounterexample(NamedTuple):
-    """Words before+x+after1 and before2+x+after: the cross recombination
-    before+x+after is missing from the language."""
-
-    letter: str
-    before: Word
-    after1: Word
-    before2: Word
-    after: Word
-
-
-def letter_cartesian_counterexample(
-    language: Iterable[Word],
-) -> Optional[CartesianCounterexample]:
-    words = frozenset(language)
-    ordered = sorted(words)
-    for w1 in ordered:
-        for i, x in enumerate(w1):
-            for w2 in ordered:
-                for j, y in enumerate(w2):
-                    if x != y:
-                        continue
-                    crossed = w1[: i + 1] + w2[j + 1 :]
-                    if crossed not in words:
-                        return CartesianCounterexample(
-                            x, w1[:i], w1[i + 1 :], w2[:j], w2[j + 1 :]
-                        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # reduction of regular languages
 

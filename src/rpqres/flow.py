@@ -5,16 +5,16 @@ Infinity is ``math.inf``.  Parallel edges are kept apart: every edge has an
 index (its insertion position) and cuts are reported as index tuples.
 Capacities are Python integers, so sums cannot overflow.
 
-``min_cut`` first decides, by a reachability pass restricted to infinite
-edges, whether any finite cut exists at all.  It then interns the vertices
-to integers and runs Dinic's blocking-flow algorithm over flat arrays:
-edge ``k`` becomes the residual slots ``2k`` (forward) and ``2k + 1``
-(reverse), with one array of slot heads, one of residual capacities and
-one slot list per vertex.  Each phase builds a BFS level graph and finds
-a blocking flow by a depth-first search with an explicit path stack and
-a per-vertex slot pointer, so nothing recurses in proportion to path
-length.  Infinite capacities are replaced by one more than the sum of the
-finite ones, which no flow can saturate once no infinite path exists.
+A ``FlowNetwork`` numbers its vertices on first use, the source 0 and the
+target 1, and stores edge ``k`` as the residual slots ``2k`` (forward)
+and ``2k + 1`` (reverse): one array of slot ends, one of capacities.
+``min_cut`` reads those arrays directly.  Infinite capacities become one
+more than the sum of the finite ones, so a reach along such slots alone
+decides whether any finite cut exists; when one does, no flow can
+saturate them.  Dinic's algorithm then builds a BFS level graph per phase
+and finds a blocking flow by a depth-first search with an explicit path
+stack and a per-vertex slot pointer, so nothing recurses in proportion
+to path length.
 
 The returned cut is the set of edges leaving the vertices reachable from
 the source in the final residual graph.  That set is the source side of
@@ -48,21 +48,38 @@ class CutResult:
 
 
 class FlowNetwork:
+    """A network stored as flat arrays; ``edges`` rebuilds its edge list."""
+
     def __init__(self, source, target):
         if source == target:
             raise InputError("source and target must differ")
         self.source = source
         self.target = target
-        self.edges: list[Edge] = []
+        self._index = {source: 0, target: 1}  # vertex -> number, in number order
+        self._ends: list[int] = []
+        self._caps: list[Capacity] = []
 
     def add_edge(self, tail, head, capacity: Capacity) -> int:
-        if capacity != INF:
-            if not isinstance(capacity, int) or capacity < 0:
-                raise InputError(
-                    f"capacity must be a non-negative integer or INF, got {capacity!r}"
-                )
-        self.edges.append(Edge(tail, head, capacity))
-        return len(self.edges) - 1
+        if capacity != INF and (
+            isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 0
+        ):
+            raise InputError(
+                f"capacity must be a non-negative integer or INF, got {capacity!r}"
+            )
+        index = self._index
+        self._ends.append(index.setdefault(head, len(index)))
+        self._ends.append(index.setdefault(tail, len(index)))
+        self._caps.append(capacity)
+        return len(self._caps) - 1
+
+    @property
+    def edges(self) -> list[Edge]:
+        names = list(self._index)
+        ends = self._ends
+        return [
+            Edge(names[ends[2 * k + 1]], names[ends[2 * k]], c)
+            for k, c in enumerate(self._caps)
+        ]
 
     def dump(self) -> str:
         lines = [f"source {self.source}", f"target {self.target}"]
@@ -72,18 +89,18 @@ class FlowNetwork:
         return "\n".join(lines) + "\n"
 
 
-def _reaches(adjacency: dict, source, target) -> bool:
-    seen = {source}
-    stack = [source]
+def _residual_reach(out, ends, cap, floor: int) -> bytearray:
+    """Marks the vertices reached from the source along slots of capacity >= floor."""
+    reached = bytearray(len(out))
+    reached[0] = 1
+    stack = [0]
     while stack:
-        v = stack.pop()
-        if v == target:
-            return True
-        for w in adjacency.get(v, ()):
-            if w not in seen:
-                seen.add(w)
+        for slot in out[stack.pop()]:
+            w = ends[slot]
+            if cap[slot] >= floor and not reached[w]:
+                reached[w] = 1
                 stack.append(w)
-    return False
+    return reached
 
 
 def min_cut(network: FlowNetwork) -> CutResult:
@@ -92,32 +109,18 @@ def min_cut(network: FlowNetwork) -> CutResult:
     Value INF (with an empty index tuple) means the source reaches the
     target through infinite-capacity edges alone, so no finite cut exists.
     """
-    infinite_adj: dict = {}
-    for e in network.edges:
-        if e.capacity == INF:
-            infinite_adj.setdefault(e.tail, []).append(e.head)
-    if _reaches(infinite_adj, network.source, network.target):
-        return CutResult(INF, ())
-
-    # vertex ids: source 0, target 1; slot 2k is edge k, slot 2k + 1 its reverse
-    index = {network.source: 0, network.target: 1}
-    ends: list[int] = []
-    cap: list[int] = []
-    finite_total = 0
-    for e in network.edges:
-        ends.append(index.setdefault(e.head, len(index)))
-        ends.append(index.setdefault(e.tail, len(index)))
-        if e.capacity != INF:
-            finite_total += e.capacity
-    unbounded = finite_total + 1
-    for e in network.edges:
-        cap.append(unbounded if e.capacity == INF else e.capacity)
-        cap.append(0)
-    n = len(index)
+    ends, caps = network._ends, network._caps
+    unbounded = sum(c for c in caps if c != INF) + 1
+    cap: list[int] = [0] * (2 * len(caps))  # residual capacity per slot
+    cap[::2] = [unbounded if c == INF else c for c in caps]
+    n = len(network._index)
     out: list[list[int]] = [[] for _ in range(n)]
     for slot in range(0, len(ends), 2):
         out[ends[slot + 1]].append(slot)
         out[ends[slot]].append(slot + 1)
+    # only an INF slot holds more than the sum of the finite capacities
+    if _residual_reach(out, ends, cap, unbounded)[1]:
+        return CutResult(INF, ())
 
     value = 0
     while True:
@@ -171,18 +174,10 @@ def min_cut(network: FlowNetwork) -> CutResult:
             else:
                 break
 
-    reachable = [False] * n
-    reachable[0] = True
-    stack = [0]
-    while stack:
-        for slot in out[stack.pop()]:
-            w = ends[slot]
-            if cap[slot] and not reachable[w]:
-                reachable[w] = True
-                stack.append(w)
+    reachable = _residual_reach(out, ends, cap, 1)
     cut = tuple(
         k
-        for k in range(len(network.edges))
+        for k in range(len(caps))
         if reachable[ends[2 * k + 1]] and not reachable[ends[2 * k]]
     )
     return CutResult(value, cut)

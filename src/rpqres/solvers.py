@@ -15,6 +15,7 @@ a solver from the classifier verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -174,15 +175,16 @@ def _bits(mask: int):
 # product networks
 
 
-def _product_network(fact_arcs, unbounded_arcs, sources, targets):
+def _product_network(size, fact_arcs, unbounded_arcs, sources, targets):
     """The flow network of a product of the database with a language.
 
-    ``fact_arcs`` are ``(tail, head, facts, mult)`` tuples, one
-    capacity-mult edge each, tagged with the tuple of facts that cutting
-    it removes; ``unbounded_arcs`` are ``(tail, head)`` pairs; ``sources``
-    and ``targets`` are the vertices attached, by unbounded edges, from the
-    network's source and to its target.  Returns the network and a map
-    from edge index to facts.
+    Its vertices are the numbers ``0 .. size - 1`` that the reduction gave
+    them as it created them.  ``fact_arcs`` are ``(tail, head, facts,
+    mult)`` tuples, one capacity-mult edge each, tagged with the tuple of
+    facts that cutting it removes; ``unbounded_arcs`` are ``(tail, head)``
+    pairs; ``sources`` and ``targets`` are the vertices attached, by
+    unbounded edges, from the network's source and to its target.
+    Returns the network and a map from edge index to facts.
 
     Only vertices forward-reachable from a source attachment and
     backward-reachable to a target attachment are added, so every edge
@@ -190,29 +192,35 @@ def _product_network(fact_arcs, unbounded_arcs, sources, targets):
     along such paths only, and the source side of the inclusion-minimal
     minimum cut loses only vertices that no cut edge touches.
     """
-    succ: dict = {}
-    pred: dict = {}
-    for tail, head, _, _ in fact_arcs:
-        succ.setdefault(tail, []).append(head)
-        pred.setdefault(head, []).append(tail)
-    for tail, head in unbounded_arcs:
-        succ.setdefault(tail, []).append(head)
-        pred.setdefault(head, []).append(tail)
-    useful = automata.reach(succ, sources) & automata.reach(pred, targets)
+    succ: list[list[int]] = [[] for _ in range(size)]
+    pred: list[list[int]] = [[] for _ in range(size)]
+    for arc in itertools.chain(fact_arcs, unbounded_arcs):
+        succ[arc[0]].append(arc[1])
+        pred[arc[1]].append(arc[0])
+    # mark 1: reached from a source; 2: also reaches a target.  The backward
+    # reach may keep to marked vertices: every path from one stays marked.
+    mark = bytearray(size)
+    for level, adjacency, seeds in ((1, succ, sources), (2, pred, targets)):
+        stack = list(seeds)
+        while stack:
+            v = stack.pop()
+            if mark[v] == level - 1:
+                mark[v] = level
+                stack.extend(adjacency[v])
 
     net = flow.FlowNetwork("source", "target")
     tag = {}
     for v in sources:
-        if v in useful:
+        if mark[v] == 2:
             net.add_edge("source", v, INF)
     for tail, head, facts, m in fact_arcs:
-        if tail in useful and head in useful:
+        if mark[tail] == 2 and mark[head] == 2:
             tag[net.add_edge(tail, head, m)] = facts
     for tail, head in unbounded_arcs:
-        if tail in useful and head in useful:
+        if mark[tail] == 2 and mark[head] == 2:
             net.add_edge(tail, head, INF)
     for v in targets:
-        if v in useful:
+        if mark[v] == 2:
             net.add_edge(v, "target", INF)
     return net, tag
 
@@ -267,23 +275,26 @@ def resilience_local(
         else:
             letter_arc[label] = (src, dst)
 
+    ids: dict = {}  # (node, state) -> vertex, numbered in order of first use
     fact_arcs = []
     for fact, m in db.entries:
         hit = letter_arc.get(fact.label)
         if hit is not None:
-            fact_arcs.append(((fact.tail, hit[0]), (fact.head, hit[1]), (fact,), m))
-    ends = dict.fromkeys(v for tail, head, _, _ in fact_arcs for v in (tail, head))
+            tail = ids.setdefault((fact.tail, hit[0]), len(ids))
+            head = ids.setdefault((fact.head, hit[1]), len(ids))
+            fact_arcs.append((tail, head, (fact,), m))
     unbounded_arcs = [
-        ((node, state), (node, nxt))
-        for node, state in ends
+        (v, w)
+        for v, (node, state) in enumerate(ids)
         for nxt in follow.get(state, ())
-        if (node, nxt) in ends
+        if (w := ids.get((node, nxt))) is not None
     ]
     net, tag = _product_network(
+        len(ids),
         fact_arcs,
         unbounded_arcs,
-        [v for v in ends if v[1] in ro.initial],
-        [v for v in ends if v[1] in ro.final],
+        [v for v, (_, state) in enumerate(ids) if state in ro.initial],
+        [v for v, (_, state) in enumerate(ids) if state in ro.final],
     )
     value, contingency = _cut_facts(net, tag)
     return ResilienceAnswer(value, contingency, "local")
@@ -337,34 +348,39 @@ def resilience_bcl(
 
     source_side, _ = analysis.bipartition
     long_labels = {letter for w in long_words for letter in w}
+    # fact arc j runs from vertex 2j, its start, to vertex 2j + 1, its end
     fact_arcs = []
+    heads = []
     by_label: dict = {}
     by_label_tail: dict = {}
     for fact, m in db.entries:
         if fact.label in long_labels and fact.label not in singles:
-            fact_arcs.append((("start", fact), ("end", fact), (fact,), m))
-            by_label.setdefault(fact.label, []).append(fact)
-            by_label_tail.setdefault((fact.label, fact.tail), []).append(fact)
+            j = len(fact_arcs)
+            fact_arcs.append((2 * j, 2 * j + 1, (fact,), m))
+            heads.append(fact.head)
+            by_label.setdefault(fact.label, []).append(j)
+            by_label_tail.setdefault((fact.label, fact.tail), []).append(j)
 
     unbounded_arcs = []
     for w in long_words:
         forward = w[0] in source_side
         for x, y in zip(w, w[1:]):
-            for f in by_label.get(x, ()):
-                for g in by_label_tail.get((y, f.head), ()):
+            for j in by_label.get(x, ()):
+                for k in by_label_tail.get((y, heads[j]), ()):
                     if forward:
-                        unbounded_arcs.append((("end", f), ("start", g)))
+                        unbounded_arcs.append((2 * j + 1, 2 * k))
                     else:
-                        unbounded_arcs.append((("end", g), ("start", f)))
+                        unbounded_arcs.append((2 * k + 1, 2 * j))
 
     endpoint_letters = sorted({w[0] for w in long_words} | {w[-1] for w in long_words})
     net, tag = _product_network(
+        2 * len(fact_arcs),
         fact_arcs,
         unbounded_arcs,
-        [("start", f) for a in endpoint_letters if a in source_side
-         for f in by_label.get(a, ())],
-        [("end", f) for a in endpoint_letters if a not in source_side
-         for f in by_label.get(a, ())],
+        [2 * j for a in endpoint_letters if a in source_side
+         for j in by_label.get(a, ())],
+        [2 * j + 1 for a in endpoint_letters if a not in source_side
+         for j in by_label.get(a, ())],
     )
     value, contingency = _cut_facts(net, tag)
     return ResilienceAnswer(forced_cost + value, forced | contingency, "bcl")
@@ -403,6 +419,7 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
         )
     level = {letter: k for k, letter in enumerate(word[:-1])}
     last = len(word) - 1
+    ids: dict = {}  # (node, k), ("exit", node), ("entry", node) -> vertex
     fact_arcs = []
     into: dict = {}  # node -> a_{n-1} facts into it
     out: dict = {}  # node -> e facts out of it
@@ -410,7 +427,9 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
     for fact, m in db.entries:
         k = level.get(fact.label)
         if k is not None:
-            fact_arcs.append(((fact.tail, k), (fact.head, k + 1), (fact,), m))
+            tail = ids.setdefault((fact.tail, k), len(ids))
+            head = ids.setdefault((fact.head, k + 1), len(ids))
+            fact_arcs.append((tail, head, (fact,), m))
             if k + 1 == last:
                 into.setdefault(fact.head, []).append(fact)
         elif fact.label == extra:
@@ -427,15 +446,16 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
         if not leaving:
             continue
         cheaper = min(into[v], leaving, key=cost)
-        fact_arcs.append(((v, last), ("exit", v), tuple(cheaper), cost(cheaper)))
-        exits.append(("exit", v))
+        exits.append(ids.setdefault(("exit", v), len(ids)))
+        fact_arcs.append((ids[v, last], exits[-1], tuple(cheaper), cost(cheaper)))
         if v in out:
-            fact_arcs.append((("entry", v), (v, last), tuple(out[v]), cost(out[v])))
-            entries.append(("entry", v))
+            entries.append(ids.setdefault(("entry", v), len(ids)))
+            fact_arcs.append((entries[-1], ids[v, last], tuple(out[v]), cost(out[v])))
     net, tag = _product_network(
+        len(ids),
         fact_arcs,
         [],
-        [(v, 0) for v in sorted(db.adom())] + entries,
+        [ids[v, 0] for v in sorted(db.adom()) if (v, 0) in ids] + entries,
         exits,
     )
     value, contingency = _cut_facts(net, tag)

@@ -9,6 +9,7 @@ plain subset enumeration.
 import heapq
 import itertools
 import math
+from typing import NamedTuple
 
 
 def _eps_targets(transitions):
@@ -216,6 +217,36 @@ def brute_letter_cartesian(words) -> bool:
                     if x == y and u[: i + 1] + v[j + 1 :] not in words:
                         return False
     return True
+
+
+class CartesianCounterexample(NamedTuple):
+    """Words before+x+after1 and before2+x+after: the cross recombination
+    before+x+after is missing from the language."""
+
+    letter: str
+    before: tuple
+    after1: tuple
+    before2: tuple
+    after: tuple
+
+
+def letter_cartesian_counterexample(language):
+    """The first exchange-property violation in sorted word order, as a
+    ``CartesianCounterexample``, or None when the language has none."""
+    words = frozenset(language)
+    ordered = sorted(words)
+    for w1 in ordered:
+        for i, x in enumerate(w1):
+            for w2 in ordered:
+                for j, y in enumerate(w2):
+                    if x != y:
+                        continue
+                    crossed = w1[: i + 1] + w2[j + 1 :]
+                    if crossed not in words:
+                        return CartesianCounterexample(
+                            x, w1[:i], w1[i + 1 :], w2[:j], w2[j + 1 :]
+                        )
+    return None
 
 
 def brute_reduce(words) -> frozenset:

@@ -20,7 +20,6 @@ from rpqres.automata import (
     is_neutral_letter,
     is_subset,
     language_words,
-    letter_cartesian_counterexample,
     non_aperiodic_witness,
     parse_automaton,
     reduce_regular,
@@ -261,7 +260,7 @@ def test_letter_cartesian_finite_matches_bruteforce():
     for text in ("ab|bc", "ab|ad|cd", "abc|abd", "a|b", "abca|cab"):
         words = frozenset(language_words(A(text)))
         assert (
-            letter_cartesian_counterexample(words) is None
+            oracles.letter_cartesian_counterexample(words) is None
         ) == oracles.brute_letter_cartesian(words)
 
 

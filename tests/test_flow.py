@@ -101,6 +101,52 @@ def test_capacity_validation():
         flow.FlowNetwork("s", "s")
 
 
+@pytest.mark.parametrize("capacity", [True, False])
+def test_bool_capacity_is_rejected(capacity):
+    net = flow.FlowNetwork("s", "t")
+    with pytest.raises(InputError):
+        net.add_edge("s", "t", capacity)
+    assert net.edges == []
+
+
+def test_edges_keep_the_callers_vertices_in_insertion_order():
+    net = flow.FlowNetwork("source", "target")
+    added = [
+        ("source", 7, flow.INF),
+        (7, ("pair", 0), 3),
+        (("pair", 0), "target", 0),
+        (7, "target", 2),
+        (7, "target", 2),
+        (0, 7, 5),
+        ("source", 0, flow.INF),
+    ]
+    assert [net.add_edge(*e) for e in added] == list(range(len(added)))
+    assert net.edges == [flow.Edge(*e) for e in added]
+    assert [type(v) for e in net.edges for v in e[:2]] == [
+        type(v) for e in added for v in e[:2]
+    ]
+    assert flow.min_cut(net) == flow.CutResult(4, (2, 3, 4))
+
+
+def test_dump_text():
+    net = network_of([("s", 1, 4), (1, "t", flow.INF), ("s", "t", 0)])
+    assert net.dump() == "source s\ntarget t\ns -> 1 [4]\n1 -> t [INF]\ns -> t [0]\n"
+
+
+def test_long_infinite_chain_has_no_cut():
+    nodes = ["s", *range(1, 200_000), "t"]
+    net = network_of((u, v, flow.INF) for u, v in zip(nodes, nodes[1:]))
+    assert flow.min_cut(net) == flow.CutResult(flow.INF, ())
+
+
+def test_infinite_cycle_off_the_target_leaves_a_finite_cut():
+    net = network_of(
+        [("s", "a", flow.INF), ("a", "b", flow.INF), ("b", "a", flow.INF),
+         ("b", "c", flow.INF), ("c", "s", flow.INF), ("a", "t", 4), ("c", "t", 3)]
+    )
+    assert flow.min_cut(net) == flow.CutResult(7, (5, 6))
+
+
 def test_check_cut():
     net = network_of([("s", "a", 1), ("a", "t", 1)])
     assert check_cut(net, [0])
