@@ -1,5 +1,5 @@
 """Finite automata with epsilon transitions, and language-level decision
-procedures built on them: trimming, product, determinization, complement,
+procedures built on them: trimming, determinization, minimization,
 inclusion, the read-once construction, locality, reduction of regular
 languages, neutral letters, and aperiodicity.
 
@@ -145,6 +145,15 @@ def _successor(after: dict, subset: frozenset, letter: str) -> frozenset:
     return _union(parts)
 
 
+def _moves(after: dict, subset: frozenset) -> dict:
+    """Where a closed subset moves on each letter it can read."""
+    parts: dict = {}
+    for s in subset:
+        for letter, targets in after.get(s, _NO_MOVES).items():
+            parts.setdefault(letter, []).append(targets)
+    return {letter: _union(targets) for letter, targets in parts.items()}
+
+
 def accepts(A: EpsNFA, word: Word) -> bool:
     tables = A.tables
     current = tables.start
@@ -187,38 +196,6 @@ def trim(A: EpsNFA) -> EpsNFA:
     )
 
 
-def product(A: EpsNFA, B: EpsNFA) -> EpsNFA:
-    """Automaton for the intersection; states are reachable pairs."""
-    a_maps = A.tables
-    b_maps = B.tables
-    start = frozenset(itertools.product(A.initial, B.initial))
-    seen = set(start)
-    stack = list(start)
-    transitions = set()
-    while stack:
-        p, q = stack.pop()
-
-        def push(pair, label):
-            transitions.add(((p, q), label, pair))
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-
-        for t in a_maps.eps.get(p, ()):
-            push((t, q), None)
-        for t in b_maps.eps.get(q, ()):
-            push((p, t), None)
-        for letter, a_targets in a_maps.by_letter.get(p, {}).items():
-            for t in b_maps.by_letter.get(q, {}).get(letter, ()):
-                for s in a_targets:
-                    push((s, t), letter)
-    final = frozenset(
-        (p, q) for (p, q) in seen if p in A.final and q in B.final
-    )
-    return EpsNFA(frozenset(seen), start, final, frozenset(transitions),
-                  A.alphabet & B.alphabet)
-
-
 def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
     """Subset construction; the result is a complete DFA over A's alphabet.
 
@@ -230,14 +207,10 @@ def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
     ids = {tables.start: 0}
     order = [tables.start]
     transitions = []
-    movers = frozenset(tables.after)
     for subset in order:  # grows while subsets are found
-        parts: dict = {}
-        for s in subset & movers:
-            for letter, targets in tables.after[s].items():
-                parts.setdefault(letter, []).append(targets)
+        moves = _moves(tables.after, subset)
         for letter in letters:
-            target = _union(parts.get(letter, ()))
+            target = moves.get(letter, frozenset())
             if target not in ids:
                 if len(ids) >= state_cap:
                     raise ResourceCapError(
@@ -285,19 +258,6 @@ def _complete(A: EpsNFA, alphabet: frozenset) -> EpsNFA:
     states = A.states | {sink}
     initial = A.initial or frozenset((sink,))
     return EpsNFA(states, initial, A.final, frozenset(transitions), alphabet)
-
-
-def complement(A: EpsNFA, alphabet: Optional[frozenset] = None) -> EpsNFA:
-    """Complement of a DFA, over the given (defaulting to its own) alphabet."""
-    alphabet = A.alphabet if alphabet is None else frozenset(alphabet) | A.alphabet
-    total = _complete(A, alphabet)
-    return EpsNFA(
-        total.states,
-        total.initial,
-        total.states - total.final,
-        total.transitions,
-        alphabet,
-    )
 
 
 def is_subset(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -397,45 +357,7 @@ def minimize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
 
 
 # ---------------------------------------------------------------------------
-# combinators
-
-
-def _tagged(A: EpsNFA, tag) -> EpsNFA:
-    relabel = {s: (tag, s) for s in A.states}
-    return EpsNFA(
-        frozenset(relabel.values()),
-        frozenset(relabel[s] for s in A.initial),
-        frozenset(relabel[s] for s in A.final),
-        frozenset((relabel[s], a, relabel[t]) for s, a, t in A.transitions),
-        A.alphabet,
-    )
-
-
-def nfa_union(*parts: EpsNFA) -> EpsNFA:
-    tagged = [_tagged(p, i) for i, p in enumerate(parts)]
-    return EpsNFA(
-        frozenset().union(*(p.states for p in tagged)),
-        frozenset().union(*(p.initial for p in tagged)),
-        frozenset().union(*(p.final for p in tagged)),
-        frozenset().union(*(p.transitions for p in tagged)),
-        frozenset().union(*(p.alphabet for p in parts)),
-    )
-
-
-def nfa_concat(*parts: EpsNFA) -> EpsNFA:
-    tagged = [_tagged(p, i) for i, p in enumerate(parts)]
-    transitions = set().union(*(p.transitions for p in tagged))
-    for left, right in zip(tagged, tagged[1:]):
-        transitions.update(
-            (f, None, i) for f in left.final for i in right.initial
-        )
-    return EpsNFA(
-        frozenset().union(*(p.states for p in tagged)),
-        tagged[0].initial,
-        tagged[-1].final,
-        frozenset(transitions),
-        frozenset().union(*(p.alphabet for p in parts)),
-    )
+# construction from regexes and word lists
 
 
 def regex_to_epsnfa(r: lang.Regex) -> EpsNFA:
@@ -715,35 +637,54 @@ def is_local_language(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
 # reduction of regular languages
 
 
-def _sigma_star(alphabet) -> EpsNFA:
-    return make_nfa((0,), (0,), (0,), ((0, a, 0) for a in alphabet), alphabet)
-
-
-def _sigma_plus(alphabet) -> EpsNFA:
-    return make_nfa(
-        (0, 1), (0,), (1,),
-        [(0, a, 1) for a in alphabet] + [(1, a, 1) for a in alphabet],
-        alphabet,
-    )
-
-
-def _strict_extensions(A: EpsNFA) -> EpsNFA:
-    """Automaton for the words containing a word of L as a strict infix."""
-    alphabet = A.alphabet
-    return nfa_union(
-        nfa_concat(_sigma_plus(alphabet), A, _sigma_star(alphabet)),
-        nfa_concat(_sigma_star(alphabet), A, _sigma_plus(alphabet)),
-    )
-
-
 def reduce_regular(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
-    """DFA for the words of L(A) having no strict infix in L(A)."""
-    if not A.alphabet:
-        return determinize(trim(A), state_cap)
-    co_ext = complement(
-        determinize(_strict_extensions(A), state_cap), A.alphabet
-    )
-    return trim(determinize(product(A, co_ext), state_cap))
+    """Trim DFA for the words of L(A) having no strict infix in L(A).
+
+    One forward subset construction over pairs (P, S) of closed sets of
+    A-states.  P is where a run over the whole input read so far can be;
+    S is where runs that started at a later position can be, so each
+    letter moves S and adds the initial closure to it.  A pair whose S
+    meets a final state has read a strict infix in L and is never made; a
+    pair whose P meets one accepts and gets no moves, since every
+    extension would contain that prefix.  Pairs are numbered breadth
+    first, letters in sorted order, and the state cap counts them.
+    """
+    tables = A.tables
+    after = tables.after
+    start = tables.start
+    root = (start, frozenset())
+    ids = {root: 0}
+    order = [root]
+    transitions = []
+    final = []
+    for i, (P, S) in enumerate(order):  # grows while pairs are found
+        if not P.isdisjoint(A.final):
+            final.append(i)
+            continue
+        p_moves = _moves(after, P)
+        s_moves = _moves(after, S)
+        for letter in sorted(p_moves):
+            later = s_moves.get(letter)
+            later = start if later is None else later | start
+            if not later.isdisjoint(A.final):
+                continue
+            pair = (p_moves[letter], later)
+            j = ids.get(pair)
+            if j is None:
+                if len(ids) >= state_cap:
+                    raise ResourceCapError(
+                        f"reduction exceeded the {state_cap}-state cap"
+                    )
+                j = ids[pair] = len(order)
+                order.append(pair)
+            transitions.append((i, letter, j))
+    return trim(EpsNFA(
+        frozenset(range(len(order))),
+        frozenset((0,)),
+        frozenset(final),
+        frozenset(transitions),
+        A.alphabet,
+    ))
 
 
 # ---------------------------------------------------------------------------

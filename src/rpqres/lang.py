@@ -158,37 +158,63 @@ def has_repeated_letter(word: Word) -> Optional[RepeatedLetter]:
 
 @dataclass(frozen=True)
 class Regex:
-    """Base class for regex syntax-tree nodes."""
+    """Base class for regex syntax-tree nodes.
+
+    Equality, hashing and repr walk the tree with an explicit stack, so
+    its depth is not bounded by the interpreter's recursion limit.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _regex_shape(self) == _regex_shape(other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(_regex_shape(self))
+
+    def __repr__(self):
+        def show(node, kids):
+            name = node.__class__.__name__
+            if isinstance(node, RLetter):
+                return f"{name}(letter={node.letter!r})"
+            if isinstance(node, RStar):
+                return f"{name}(inner={kids[0]})"
+            if isinstance(node, (RConcat, RUnion)):
+                joined = kids[0] + "," if len(kids) == 1 else ", ".join(kids)
+                return f"{name}(parts=({joined}))"
+            return f"{name}()"
+
+        return _regex_fold(self, show)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class REmpty(Regex):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class REpsilon(Regex):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RLetter(Regex):
     letter: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RConcat(Regex):
     parts: tuple[Regex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RUnion(Regex):
     parts: tuple[Regex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RStar(Regex):
     inner: Regex
 
@@ -200,6 +226,37 @@ def regex_children(r: Regex) -> tuple[Regex, ...]:
     if isinstance(r, RStar):
         return (r.inner,)
     return ()
+
+
+def _regex_shape(r: Regex) -> tuple:
+    """The nodes in preorder as (class, letter or child count): equal
+    exactly for equal trees."""
+    shape = []
+    todo = [r]
+    while todo:
+        node = todo.pop()
+        children = regex_children(node)
+        label = node.letter if isinstance(node, RLetter) else len(children)
+        shape.append((node.__class__, label))
+        todo.extend(reversed(children))
+    return tuple(shape)
+
+
+def _regex_fold(r: Regex, combine):
+    """Fold a tree bottom-up: ``combine(node, values of its children)`` at
+    each node, on an explicit stack."""
+    values: list = []
+    todo = [(r, False)]
+    while todo:
+        node, ready = todo.pop()
+        children = regex_children(node)
+        if children and not ready:
+            todo.append((node, True))
+            todo.extend((child, False) for child in reversed(children))
+            continue
+        split = len(values) - len(children)
+        values[split:] = [combine(node, values[split:])]
+    return values[0]
 
 
 def regex_alphabet(r: Regex) -> frozenset[str]:
@@ -318,41 +375,28 @@ def _regex_precedence(r: Regex) -> int:
 def regex_to_string(r: Regex) -> str:
     """Print a regex; parse_regex(regex_to_string(r)) == r.
 
-    The tree is walked with an explicit stack, so its depth is not bounded
+    The tree is folded on an explicit stack, so its depth is not bounded
     by the interpreter's recursion limit.
     """
-    printed: list[str] = []  # bodies of the finished subexpressions
-    # (node, context, children printed): an inner node is visited twice,
-    # first to schedule its children, then to join what they printed
-    todo = [(r, 0, False)]
-    while todo:
-        node, context, joined = todo.pop()
+
+    def show(node, kids):  # kids: (precedence, body) of each child
+        level = _regex_precedence(node)
+        # a child is bracketed unless it binds tighter than its parent
+        pieces = [body if inner > level else f"({body})" for inner, body in kids]
         if isinstance(node, REmpty):
             body = "∅"
         elif isinstance(node, REpsilon):
             body = "~"
         elif isinstance(node, RLetter):
             body = render_letter(node.letter)
-        elif isinstance(node, (RUnion, RConcat, RStar)):
-            children = regex_children(node)
-            if not joined:
-                # a child is bracketed unless it binds tighter than its parent
-                inner = _regex_precedence(node) + 1
-                todo.append((node, context, True))
-                todo.extend((child, inner, False) for child in reversed(children))
-                continue
-            split = len(printed) - len(children)
-            pieces = printed[split:]
-            del printed[split:]
-            if isinstance(node, RUnion):
-                body = "|".join(pieces)
-            elif isinstance(node, RConcat):
-                body = "".join(pieces)
-            else:
-                body = pieces[0] + "*"
+        elif isinstance(node, RUnion):
+            body = "|".join(pieces)
+        elif isinstance(node, RConcat):
+            body = "".join(pieces)
+        elif isinstance(node, RStar):
+            body = pieces[0] + "*"
         else:
             raise TypeError(f"not a regex node: {node!r}")
-        if _regex_precedence(node) < context:
-            body = f"({body})"
-        printed.append(body)
-    return printed[0]
+        return level, body
+
+    return _regex_fold(r, show)[1]

@@ -71,6 +71,117 @@ def subset_construction(A):
     )
 
 
+class Fields(NamedTuple):
+    """An automaton as raw fields, in the order of ``automata.EpsNFA``."""
+
+    states: frozenset
+    initial: frozenset
+    final: frozenset
+    transitions: frozenset
+    alphabet: frozenset
+
+
+def accepts(A, word) -> bool:
+    """Whether A accepts the word, stepping closed state sets."""
+    eps = _eps_targets(A.transitions)
+    current = _closure(eps, A.initial)
+    for letter in word:
+        moved = {
+            dst for src, label, dst in A.transitions
+            if label == letter and src in current
+        }
+        current = _closure(eps, moved)
+    return bool(current & A.final)
+
+
+def trim(A) -> Fields:
+    """Keep the states reachable from an initial state and reaching a
+    final one."""
+    forward, backward = {}, {}
+    for src, _, dst in A.transitions:
+        forward.setdefault(src, set()).add(dst)
+        backward.setdefault(dst, set()).add(src)
+    useful = _closure(forward, A.initial) & _closure(backward, A.final)
+    return Fields(
+        useful, A.initial & useful, A.final & useful,
+        frozenset(t for t in A.transitions if t[0] in useful and t[2] in useful),
+        A.alphabet,
+    )
+
+
+def complement(A, alphabet=()) -> Fields:
+    """A complete DFA for the words over A's alphabet and the given letters
+    that A rejects: the subset construction with its final states flipped."""
+    wider = Fields(
+        A.states, A.initial, A.final, A.transitions,
+        frozenset(A.alphabet) | frozenset(alphabet),
+    )
+    states, initial, final, transitions, letters = subset_construction(wider)
+    return Fields(states, initial, states - final, transitions, letters)
+
+
+def _strict_extensions(A) -> Fields:
+    """An automaton for S+LS* | S*LS+ over the alphabet S of A: the words
+    having a word of L as a strict infix.  Branch 0 reads at least one
+    letter before the copy of A, branch 1 at least one after it."""
+    states, initial, final, transitions = set(), set(), set(), set()
+    for branch in (0, 1):
+        pre = [(branch, "pre", k) for k in (0, 1)]
+        post = [(branch, "post", k) for k in (0, 1)]
+        inner = {s: (branch, "L", s) for s in A.states}
+        states.update(pre + post + list(inner.values()))
+        initial.add(pre[1 - branch])
+        final.add(post[1])
+        for a in A.alphabet:
+            transitions.update({
+                (pre[0], a, pre[1]), (pre[1], a, pre[1]),
+                (post[0], a, post[1]), (post[1], a, post[1]),
+            })
+        transitions.update((pre[1], None, inner[s]) for s in A.initial)
+        transitions.update((inner[s], None, post[branch]) for s in A.final)
+        transitions.update(
+            (inner[s], label, inner[t]) for s, label, t in A.transitions
+        )
+    return Fields(
+        frozenset(states), frozenset(initial), frozenset(final),
+        frozenset(transitions), A.alphabet,
+    )
+
+
+def _intersect(A, D) -> Fields:
+    """The reachable product of an automaton with a complete DFA over the
+    same letters; A's epsilon moves leave the DFA state where it is."""
+    delta = {(src, label): dst for src, label, dst in D.transitions}
+    moves = {}
+    for src, label, dst in A.transitions:
+        moves.setdefault(src, []).append((label, dst))
+    initial = {(p, q) for p in A.initial for q in D.initial}
+    seen = set(initial)
+    stack = list(initial)
+    transitions = set()
+    while stack:
+        p, q = stack.pop()
+        for label, dst in moves.get(p, ()):
+            pair = (dst, q if label is None else delta[q, label])
+            transitions.add(((p, q), label, pair))
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return Fields(
+        frozenset(seen), frozenset(initial),
+        frozenset((p, q) for p, q in seen if p in A.final and q in D.final),
+        frozenset(transitions), A.alphabet,
+    )
+
+
+def reference_reduce(A) -> Fields:
+    """The words of L(A) having no strict infix in L(A), built the long
+    way: determinize the strict extensions of L, complement them,
+    intersect with L, determinize again and trim."""
+    outside = complement(_strict_extensions(A))
+    return trim(Fields(*subset_construction(_intersect(A, outside))))
+
+
 def included(A, B) -> bool:
     """Whether L(A) is a subset of L(B).
 

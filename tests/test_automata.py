@@ -1,5 +1,6 @@
 """Automaton algebra: construction, determinization, locality, reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from test_acceptance import _random_regex
 from rpqres import automata, lang
+from rpqres.classifier import UNKNOWN, classify
 from rpqres.automata import (
     accepts,
     automaton_for,
-    complement,
     determinize,
     eps_nfa_to_ro,
     is_equivalent,
@@ -121,7 +122,7 @@ def test_determinize_preserves_language(text):
 @settings(max_examples=60, deadline=None)
 def test_complement_flips_membership(text):
     m = A(text)
-    c = complement(determinize(m), frozenset("abc"))
+    c = automata.EpsNFA(*oracles.complement(determinize(m), frozenset("abc")))
     for word in short_words:
         assert accepts(m, word) != accepts(c, word)
 
@@ -160,16 +161,13 @@ def test_inclusion_stops_at_a_counterexample_before_the_cap():
         is_subset(A("(ab|bc)*c"), A("(ab|bc)*c"), state_cap=2)
 
 
-def _reference_reduce(m):
-    """reduce_regular with the reference subset construction."""
-
-    def det(x):
-        return automata.EpsNFA(*oracles.subset_construction(x))
-
-    if not m.alphabet:
-        return det(trim(m))
-    co_ext = complement(det(automata._strict_extensions(m)), m.alphabet)
-    return trim(det(automata.product(m, co_ext)))
+def _is_trim_dfa(D):
+    """At most one initial state, no epsilon moves, at most one move per
+    state and letter, and every state reachable and co-reachable."""
+    moves = [(src, label) for src, label, _ in D.transitions]
+    if len(D.initial) > 1 or None in {label for _, label in moves}:
+        return False
+    return len(set(moves)) == len(moves) and oracles.trim(D).states == D.states
 
 
 def test_tables_match_the_reference_constructions():
@@ -183,9 +181,10 @@ def test_tables_match_the_reference_constructions():
         assert (d.states, d.initial, d.final, d.transitions, d.alphabet) == (
             oracles.subset_construction(m)
         )
-        assert serialize_automaton(reduce_regular(m)) == serialize_automaton(
-            _reference_reduce(m)
-        )
+        reduced, reference = reduce_regular(m), oracles.reference_reduce(m)
+        assert oracles.included(reduced, reference)
+        assert oracles.included(reference, reduced)
+        assert _is_trim_dfa(reduced)
     # pairs over different alphabets, with the empty language and the
     # empty word among them
     shifted = [A(_random_regex(rng, 3).replace("a", "d")) for _ in range(60)]
@@ -299,6 +298,49 @@ def test_reduce_regular_matches_finite_reduce(text):
         return
     reduced = lang.reduce_finite(language_words(m))
     assert is_equivalent(reduce_regular(m), words_to_nfa(reduced))
+
+
+def _reduction_by_definition(m, max_len):
+    """The words up to max_len in L(m) with no strict infix in L(m)."""
+    words = [
+        tuple(p)
+        for n in range(max_len + 1)
+        for p in itertools.product(sorted(m.alphabet), repeat=n)
+    ]
+    member = {w for w in words if oracles.accepts(m, w)}
+    return words, {
+        w for w in member
+        if not any(
+            w[i:j] in member
+            for i in range(len(w) + 1)
+            for j in range(i, len(w) + 1)
+            if j - i < len(w)
+        )
+    }
+
+
+def test_reduce_regular_matches_the_definition():
+    rng = random.Random(1313)
+    texts = [_random_regex(rng, rng.randint(2, 4)) for _ in range(300)]
+    texts += ["a|~", "~", "a*", "a(b|c)*a", "ax*b|xd"]
+    machines = [A(text) for text in texts]
+    machines.append(automata.make_nfa({0}, {0}, (), (), "ab"))
+    for m in machines:
+        reduced = reduce_regular(m)
+        assert _is_trim_dfa(reduced)
+        words, expected = _reduction_by_definition(m, 5)
+        for w in words:
+            assert accepts(reduced, w) == (w in expected), (m, w)
+
+
+def test_reduce_regular_state_cap():
+    # the reduction a(a|b)(a|b)(a|b) keeps 16 of the 25 pairs it finds
+    m = A("(a|b)*a(a|b)(a|b)(a|b)")
+    with pytest.raises(ResourceCapError):
+        reduce_regular(m, state_cap=8)
+    verdict = classify(m, state_cap=8)
+    assert verdict.status == UNKNOWN
+    assert verdict.reason.startswith("resource cap")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import rpqres
 from rpqres import gadgets
 from rpqres.cli import main
 
@@ -193,6 +197,30 @@ def test_automaton_reduce_roundtrip():
     assert reduced.exit_code == 0
     verdict = run("classify", "--automaton", "-", stdin=reduced.output)
     assert verdict.output == "PTIME (local)\n"
+
+
+def test_automaton_reduce_output():
+    # a is kept; b leads only to ba, which has a as a strict infix
+    result = run("automaton", "--reduce", "a|ab|ba")
+    assert result.exit_code == 0
+    assert result.output == "states 0 1\ninitial 0\nfinal 1\n0\ta\t1\n"
+
+
+def test_automaton_reduce_ignores_hash_seeds():
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    for regex in ("a|ab|ba", "(ab|bc)*c|ax*b"):
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "rpqres.cli", "automaton", "--reduce",
+                 regex],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == run(
+            "automaton", "--reduce", regex
+        ).output.encode()
 
 
 def test_gadget_workflow(tmp_path):

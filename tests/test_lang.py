@@ -214,8 +214,35 @@ def test_deep_regex_trees_are_walked_without_recursion():
     # each inner concatenation keeps its brackets
     printed = lang.regex_to_string(r)
     assert printed == "(" * 599 + "ab)" + "b)" * 598 + "b"
-    # (comparing trees this deep would recurse in the dataclass __eq__)
     assert lang.regex_to_string(lang.parse_regex(printed)) == printed
     # a deep starred union needs its brackets at every level
     text = "(" * 600 + "a" + "|b)*" * 600
     assert lang.regex_to_string(lang.parse_regex(text)) == text
+
+
+def test_deep_regex_trees_compare_hash_and_print_without_recursion():
+    text = "(" * 600 + "a" + "b)" * 600
+    r, again = lang.parse_regex(text), lang.parse_regex(text)
+    assert r == again and not r != again
+    assert hash(r) == hash(again) and {r: 1}[again] == 1
+    assert r != lang.parse_regex("(" * 600 + "a" + "b)" * 599 + "a)")
+    assert r != lang.parse_regex("(" * 599 + "a" + "b)" * 599)
+    assert repr(r) == (
+        "RConcat(parts=(" * 600 + "RLetter(letter='a')"
+        + ", RLetter(letter='b')))" * 600
+    )
+
+
+def test_regex_equality_hash_and_repr_keep_their_meaning():
+    a, b = lang.RLetter("a"), lang.RLetter("b")
+    assert lang.parse_regex("a(b|c)*") == lang.parse_regex("a(b|c)*")
+    assert lang.parse_regex("ab") != lang.parse_regex("ba")
+    assert lang.RConcat((a, b)) != lang.RUnion((a, b))
+    assert lang.RConcat((a, b)) != lang.RConcat((a, b, b))
+    assert lang.RStar(a) != a and a != "a"
+    assert len({lang.RStar(a), lang.RStar(lang.RLetter("a")), lang.REmpty(),
+                lang.REmpty(), lang.REpsilon()}) == 3
+    assert repr(lang.parse_regex("a*|~|∅")) == (
+        "RUnion(parts=(RStar(inner=RLetter(letter='a')), REpsilon(), REmpty()))"
+    )
+    assert repr(lang.RConcat((a,))) == "RConcat(parts=(RLetter(letter='a'),))"
