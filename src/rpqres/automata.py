@@ -231,35 +231,6 @@ def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
     )
 
 
-def _fresh_id(existing, base: str):
-    candidate = base
-    while candidate in existing:
-        candidate = candidate + "'"
-    return candidate
-
-
-def _complete(A: EpsNFA, alphabet: frozenset) -> EpsNFA:
-    """Make a DFA total over the given alphabet, adding a sink if needed."""
-    if not is_deterministic(A):
-        raise InputError("completion requires a deterministic automaton")
-    maps = A.tables
-    missing = [
-        (s, a)
-        for s in A.states
-        for a in alphabet
-        if a not in maps.by_letter.get(s, {})
-    ]
-    if not missing and A.states:
-        return EpsNFA(A.states, A.initial, A.final, A.transitions, alphabet)
-    sink = _fresh_id(A.states, "sink")
-    transitions = set(A.transitions)
-    transitions.update((s, a, sink) for s, a in missing)
-    transitions.update((sink, a, sink) for a in alphabet)
-    states = A.states | {sink}
-    initial = A.initial or frozenset((sink,))
-    return EpsNFA(states, initial, A.final, frozenset(transitions), alphabet)
-
-
 def is_subset(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether L(A) is included in L(B).
 
@@ -305,16 +276,17 @@ def is_equivalent(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> b
 
 
 def minimize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
-    """Minimal complete DFA, by partition refinement on reachable states."""
+    """Minimal complete DFA, by partition refinement on reachable states.
+    A missing move goes to a sink state."""
     if not is_deterministic(A):
         A = determinize(A, state_cap)
-    A = _complete(A, A.alphabet)
     letters = sorted(A.alphabet)
-    maps = A.tables
+    by_letter = A.tables.by_letter
+    sink = object()  # a state no automaton has
 
     def delta(s, a):
-        (target,) = maps.by_letter[s][a]
-        return target
+        targets = by_letter.get(s, _NO_MOVES).get(a)
+        return sink if targets is None else next(iter(targets))
 
     (start,) = A.initial
     order = [start]
@@ -537,7 +509,7 @@ def language_words(
     With max_len None the language must be finite.  max_words caps the
     count and raises a resource error beyond it.
     """
-    D = trim(determinize(A, state_cap))
+    D = trim(A if is_deterministic(A) else determinize(A, state_cap))
     if max_len is None:
         if _has_pumping_cycle(D):
             raise InputError("cannot enumerate an infinite language without a length cap")

@@ -5,8 +5,9 @@ languages are tractable; finite reduced languages are checked for repeated
 letters, four-legged splits, the bipartite-chain shape, the two-word
 submodular pattern, and a small catalog of individually proven hard
 languages; infinite reduced languages are checked for aperiodicity, a
-neutral letter, and four-legged splits up to a leg-length bound.  Anything
-that matches no criterion is reported UNKNOWN, never guessed.
+neutral letter, and four-legged splits.  Both paths decide
+four-leggedness exactly on the reduced DFA.  Anything that matches no criterion is
+reported UNKNOWN, never guessed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ PTIME = "PTIME"
 NP_HARD = "NP_HARD"
 UNKNOWN = "UNKNOWN"
 
-DEFAULT_LEG_CAP = 6
 DEFAULT_ENUM_CAP = 10_000
 
 
@@ -68,38 +68,75 @@ class FourLeggedWitness(NamedTuple):
         }
 
 
-def _four_legged_search(
-    words, member, leg_cap: Optional[int] = None
+def _shortest_words(delta: dict, start) -> dict:
+    """Map each state that some non-empty word leads the start to onto the
+    shortest, then least, such word; entries come in the order of words."""
+    found: dict = {}
+    queue = [(start, ())]
+    for state, word in queue:  # grows while states are found
+        for letter, target in sorted(delta.get(state, {}).items()):
+            if target not in found:
+                found[target] = word + (letter,)
+                queue.append((target, found[target]))
+    return found
+
+
+def four_legged_witness(
+    D: EpsNFA, state_cap: int = automata.DEFAULT_STATE_CAP
 ) -> Optional[FourLeggedWitness]:
-    # shortest words first, so the reported witness has minimal legs
-    ordered = sorted(words, key=lambda w: (len(w), w))
+    """A four-legged split of the language of a trim DFA, or None.
 
-    def short_enough(part):
-        return leg_cap is None or len(part) <= leg_cap
-
-    # for each letter x, the splits before2 x after2 of a second word, in
-    # search order; the membership test reads only after2, so the first
-    # split with a given after2 is the only one that can be reported
-    closing: dict = {}
-    for w2 in ordered:
-        for j in range(1, len(w2) - 1):
-            before2, after2 = w2[:j], w2[j + 1 :]
-            if short_enough(before2) and short_enough(after2):
-                closing.setdefault(w2[j], {}).setdefault(after2, before2)
-
-    tried = set()  # (before1, x): the test does not read after1
-    for w1 in ordered:
-        for i in range(1, len(w1) - 1):
-            x = w1[i]
-            before1, after1 = w1[:i], w1[i + 1 :]
-            if not (short_enough(before1) and short_enough(after1)):
-                continue
-            if (before1, x) in tried:
-                continue
-            tried.add((before1, x))
-            for after2, before2 in closing.get(x, {}).items():
-                if not member(before1 + (x,) + after2):
-                    return FourLeggedWitness(x, before1, after1, before2, after2)
+    The language is four-legged iff, for some letter x, states
+    p = δ(q0, αx) and p' = δ(q0, γx) with α and γ non-empty exist such
+    that p has a move out and some non-empty word leads p' to a final
+    state and p to a non-final or missing one.  Per letter, in sorted
+    order, one breadth-first search over pairs (p', p) decides this.  Its
+    seeds are ordered by the shortest, then least, α and then γ, its
+    parents give the legs, and the state cap counts its pairs.
+    """
+    if not D.initial:
+        return None
+    delta = {
+        s: {a: t for a, (t,) in moves.items()}
+        for s, moves in D.tables.by_letter.items()
+    }
+    (q0,) = D.initial
+    prefixes = _shortest_words(delta, q0)
+    for x in sorted(D.alphabet):
+        heads: dict = {}  # p = δ(q0, αx) -> α
+        for state, alpha in prefixes.items():
+            p = delta.get(state, {}).get(x)
+            if p is not None and p not in heads:
+                heads[p] = alpha
+        # (p', p) -> (previous pair, letter), or None at a seed
+        parent = {
+            (p2, p): None
+            for p in heads if p in delta
+            for p2 in heads if p2 != p and p2 in delta
+        }
+        queue = list(parent)
+        for pair in queue:  # grows while pairs are found
+            if len(parent) > state_cap:
+                raise ResourceCapError(
+                    f"four-legged search exceeded the {state_cap}-pair cap"
+                )
+            p2, p = pair
+            for letter, t2 in sorted(delta[p2].items()):
+                t = delta.get(p, {}).get(letter)
+                if t2 in D.final and t not in D.final:
+                    after2 = (letter,)
+                    while parent[pair] is not None:
+                        pair, letter = parent[pair]
+                        after2 = (letter,) + after2
+                    p2, p = pair
+                    after1 = next(
+                        w for s, w in _shortest_words(delta, p).items()
+                        if s in D.final
+                    )
+                    return FourLeggedWitness(x, heads[p], after1, heads[p2], after2)
+                if (t2, t) not in parent and t2 in delta:
+                    parent[(t2, t)] = (pair, letter)
+                    queue.append((t2, t))
     return None
 
 
@@ -108,7 +145,9 @@ def is_four_legged_finite(language: Iterable[Word]) -> Optional[FourLeggedWitnes
     words = frozenset(language)
     if lang.reduce_finite(words) != words:
         raise InputError("four-legged detection requires a reduced language")
-    return _four_legged_search(words, lambda w: w in words)
+    return four_legged_witness(
+        automata.trim(automata.determinize(automata.words_to_nfa(words)))
+    )
 
 
 def chain_violation(language: Iterable[Word]) -> Optional[str]:
@@ -291,7 +330,7 @@ def match_known_hard(language: Iterable[Word]) -> Optional[dict]:
 # the pipeline
 
 
-def _finite_verdict(words: frozenset) -> Verdict:
+def _finite_verdict(words: frozenset, reduced: EpsNFA, state_cap: int) -> Verdict:
     for w in sorted(words):
         repeat = lang.has_repeated_letter(w)
         if repeat is not None:
@@ -305,7 +344,7 @@ def _finite_verdict(words: frozenset) -> Verdict:
             }
             return Verdict(NP_HARD, None, "repeated letter", witness)
 
-    legs = is_four_legged_finite(words)
+    legs = four_legged_witness(reduced, state_cap)
     if legs is not None:
         return Verdict(
             NP_HARD, None, "four-legged",
@@ -354,8 +393,6 @@ def _infinite_verdict(
     reduced: EpsNFA,
     state_cap: int,
     monoid_cap: int,
-    leg_cap: int,
-    enum_cap: int,
 ) -> Verdict:
     periodic = automata.non_aperiodic_witness(reduced, monoid_cap, state_cap)
     if periodic is not None:
@@ -372,7 +409,7 @@ def _infinite_verdict(
         if automata.is_neutral_letter(A, letter, state_cap):
             neutral = letter
             break
-    legs = _bounded_four_legged(reduced, leg_cap, enum_cap, state_cap)
+    legs = four_legged_witness(reduced, state_cap)
     if neutral is not None:
         # the reduction is not local (that was settled earlier), so the
         # neutral-letter dichotomy lands on the hard side
@@ -383,25 +420,10 @@ def _infinite_verdict(
 
     if legs is not None:
         return Verdict(
-            NP_HARD, None, "four-legged (bounded search)",
+            NP_HARD, None, "four-legged",
             {"kind": "four-legged", **legs.rendered()},
         )
     return Verdict(UNKNOWN, None, "unclassified", None)
-
-
-def _bounded_four_legged(
-    reduced: EpsNFA, leg_cap: int, enum_cap: int, state_cap: int
-) -> Optional[FourLeggedWitness]:
-    try:
-        words = automata.language_words(
-            reduced, max_len=2 * leg_cap + 1, max_words=enum_cap,
-            state_cap=state_cap,
-        )
-    except ResourceCapError:
-        return None
-    return _four_legged_search(
-        words, lambda w: automata.accepts(reduced, w), leg_cap
-    )
 
 
 class Analysis(NamedTuple):
@@ -422,7 +444,6 @@ def analyse(
     *,
     state_cap: int = automata.DEFAULT_STATE_CAP,
     monoid_cap: int = automata.DEFAULT_MONOID_CAP,
-    leg_cap: int = DEFAULT_LEG_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Analysis:
     """Reduce the language once and walk the criteria over the result."""
@@ -437,10 +458,9 @@ def analyse(
                 automata.language_words(reduced, max_words=enum_cap,
                                         state_cap=state_cap)
             )
-            return Analysis(_finite_verdict(words), reduced, words)
-        verdict = _infinite_verdict(
-            A, reduced, state_cap, monoid_cap, leg_cap, enum_cap
-        )
+            verdict = _finite_verdict(words, reduced, state_cap)
+            return Analysis(verdict, reduced, words)
+        verdict = _infinite_verdict(A, reduced, state_cap, monoid_cap)
         return Analysis(verdict, reduced, None)
     except ResourceCapError as exc:
         verdict = Verdict(UNKNOWN, None, f"resource cap: {exc}", None)
@@ -452,11 +472,9 @@ def classify(
     *,
     state_cap: int = automata.DEFAULT_STATE_CAP,
     monoid_cap: int = automata.DEFAULT_MONOID_CAP,
-    leg_cap: int = DEFAULT_LEG_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Verdict:
     """Full pipeline over a regex string, Regex, word set, or automaton."""
     return analyse(
-        spec, state_cap=state_cap, monoid_cap=monoid_cap, leg_cap=leg_cap,
-        enum_cap=enum_cap,
+        spec, state_cap=state_cap, monoid_cap=monoid_cap, enum_cap=enum_cap,
     ).verdict

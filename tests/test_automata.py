@@ -202,6 +202,17 @@ def test_language_words_sorted():
     assert language_words(A("ba|ab|a")) == [wd("a"), wd("ab"), wd("ba")]
 
 
+def test_language_words_reads_a_dfa_as_it_is():
+    # a complete DFA with a dead state and a trim DFA, both deterministic
+    # already, list the same words as the automaton they come from
+    for text in ("ba|ab|a", "a(b|c)d|ae", "(a|b)c*", "a(b|c)*a"):
+        m = A(text)
+        for D in (determinize(m), reduce_regular(m)):
+            assert automata.is_deterministic(D)
+            expected = [w for w in language_words(m, max_len=5) if accepts(D, w)]
+            assert language_words(D, max_len=5) == expected, text
+
+
 def test_language_words_infinite_needs_cap():
     with pytest.raises(InputError):
         language_words(A("a*"))

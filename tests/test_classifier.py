@@ -7,8 +7,16 @@ import weakref
 import pytest
 
 import oracles
-from rpqres import classifier, lang
-from rpqres.automata import accepts, automaton_for, language_words, reduce_regular
+from rpqres import lang
+from rpqres.automata import (
+    accepts,
+    automaton_for,
+    determinize,
+    is_finite_language,
+    language_words,
+    reduce_regular,
+    trim,
+)
 from rpqres.errors import InputError, ResourceCapError
 from rpqres.classifier import (
     NP_HARD,
@@ -19,6 +27,7 @@ from rpqres.classifier import (
     chain_violation,
     classify,
     endpoint_graph,
+    four_legged_witness,
     is_four_legged_finite,
     match_known_hard,
     matches_submod_pattern,
@@ -62,26 +71,78 @@ def test_four_legged_detection():
 
 def test_four_legged_search_matches_the_pairwise_search():
     # criterion 09's random languages, reduced as the classifier does and
-    # as written (larger word sets), cut at the leg cap; the pairwise
-    # search is slow past a few dozen words
+    # as written; the pairwise search is slow past a few dozen words, so
+    # finite languages are compared on at most 40 words and infinite ones
+    # on words cut at leg caps 2-4, where only its hits are conclusive
     rng = random.Random(909)
-    found = 0
-    for _ in range(200):
+    found = compared = bounded_hits = 0
+    for _ in range(400):
         A = automaton_for(_random_regex(rng, 4))
-        for language in (reduce_regular(A), A):
-            for leg_cap in (2, 3, 4):
+        for D in (reduce_regular(A), trim(determinize(A))):
+
+            def member(w, D=D):
+                return accepts(D, w)
+
+            got = four_legged_witness(D)
+            if got is not None:
+                x, before1, after1, before2, after2 = got
+                assert before1 and after1 and before2 and after2
+                assert member(before1 + (x,) + after1)
+                assert member(before2 + (x,) + after2)
+                assert not member(before1 + (x,) + after2)
+                found += 1
+            if is_finite_language(D):
                 try:
-                    ws = language_words(language, max_len=2 * leg_cap + 1, max_words=40)
+                    ws = language_words(D, max_words=40)
                 except ResourceCapError:
                     continue
-
-                def member(w, language=language):
-                    return accepts(language, w)
-
-                got = classifier._four_legged_search(ws, member, leg_cap)
-                assert got == oracles.four_legged_search(ws, member, leg_cap)
-                found += got is not None
+                expected = oracles.four_legged_search(ws, member)
+                assert (got is None) == (expected is None)
+                compared += 1
+                continue
+            for leg_cap in (2, 3, 4):
+                try:
+                    ws = language_words(D, max_len=2 * leg_cap + 1, max_words=40)
+                except ResourceCapError:
+                    continue
+                if oracles.four_legged_search(ws, member, leg_cap) is not None:
+                    assert got is not None
+                    bounded_hits += 1
     assert found >= 50
+    assert compared >= 500
+    assert bounded_hits >= 50
+
+
+def test_four_legged_witness_has_no_leg_bound():
+    # two legs of seven letters: the search puts no bound on leg length
+    verdict = c("cdefghixb*q|jklmnopxz")
+    assert verdict.status == NP_HARD
+    assert verdict.reason == "four-legged"
+    legs = verdict.witness
+    assert legs["kind"] == "four-legged"
+    D = reduce_regular(automaton_for("cdefghixb*q|jklmnopxz"))
+    x, before1, after1, before2, after2 = (
+        tuple(legs[k]) for k in ("letter", "before1", "after1", "before2", "after2")
+    )
+    assert len(before1) > 6 and len(before2) > 6
+    assert accepts(D, before1 + x + after1)
+    assert accepts(D, before2 + x + after2)
+    assert not accepts(D, before1 + x + after2)
+
+
+def test_four_legged_search_respects_the_state_cap():
+    # five heads on x make 20 seed pairs in a 16-state DFA, so a pair cap
+    # between the two ends the search before it starts
+    text = "ax*b|cx*d|ex*f|gx*h|ix*j"
+    D = reduce_regular(automaton_for(text))
+    assert len(D.states) == 16
+    assert four_legged_witness(D, state_cap=20) is not None
+    with pytest.raises(ResourceCapError):
+        four_legged_witness(D, state_cap=19)
+    verdict = classify(text, state_cap=18)
+    assert verdict.status == UNKNOWN
+    assert verdict.reason.startswith("resource cap: four-legged search")
+    assert classify(text, state_cap=20).reason == "four-legged"
 
 
 def test_four_legged_requires_reduced_input():
@@ -209,7 +270,7 @@ def test_classify_non_aperiodic():
     assert verdict.witness["period"] >= 2
 
 
-def test_classify_bounded_four_legged_infinite():
+def test_classify_four_legged_infinite():
     verdict = c("ax*b|cxd")
     assert verdict.status == NP_HARD
     assert verdict.witness["kind"] == "four-legged"
@@ -227,8 +288,6 @@ def test_classify_neutral_letter():
 
 
 def test_classify_unknown():
-    # a(b|c)*a: every word up to 13 letters is tried at the default leg
-    # cap, and no split is four-legged
     for text in ("abcd|be", "abc|bcd", "abc|bef", "ax*b|xd", "a(b|c)*a"):
         verdict = c(text)
         assert verdict.status == UNKNOWN, text

@@ -46,6 +46,15 @@ def test_classify_json():
     assert payload["witness"]["kind"] == "repeated-letter"
 
 
+def test_classify_json_long_legs():
+    result = run("classify", "--json", "cdefghixb*q|jklmnopxz")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["status"] == "NP_HARD"
+    assert payload["reason"] == "four-legged"
+    assert payload["witness"]["before1"] == "cdefghi"
+
+
 def test_classify_rejects_two_sources(tmp_path):
     path = tmp_path / "w.txt"
     write(path, "ab\n")
