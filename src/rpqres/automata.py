@@ -187,6 +187,8 @@ def trim(A: EpsNFA) -> EpsNFA:
         fwd.setdefault(src, set()).add(dst)
         rev.setdefault(dst, set()).add(src)
     useful = reach(fwd, A.initial) & reach(rev, A.final)
+    if useful == A.states:  # nothing to drop: keep A and its built tables
+        return A
     return EpsNFA(
         frozenset(useful),
         A.initial & useful,
@@ -229,6 +231,35 @@ def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
         frozenset(transitions),
         A.alphabet,
     )
+
+
+def _fresh_id(existing, base: str):
+    candidate = base
+    while candidate in existing:
+        candidate = candidate + "'"
+    return candidate
+
+
+def _complete(A: EpsNFA, alphabet: frozenset) -> EpsNFA:
+    """Make a DFA total over the given alphabet, adding a sink if needed."""
+    if not is_deterministic(A):
+        raise InputError("completion requires a deterministic automaton")
+    maps = A.tables
+    missing = [
+        (s, a)
+        for s in A.states
+        for a in alphabet
+        if a not in maps.by_letter.get(s, {})
+    ]
+    if not missing and A.states:
+        return EpsNFA(A.states, A.initial, A.final, A.transitions, alphabet)
+    sink = _fresh_id(A.states, "sink")
+    transitions = set(A.transitions)
+    transitions.update((s, a, sink) for s, a in missing)
+    transitions.update((sink, a, sink) for a in alphabet)
+    states = A.states | {sink}
+    initial = A.initial or frozenset((sink,))
+    return EpsNFA(states, initial, A.final, frozenset(transitions), alphabet)
 
 
 def is_subset(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -276,17 +307,16 @@ def is_equivalent(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> b
 
 
 def minimize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
-    """Minimal complete DFA, by partition refinement on reachable states.
-    A missing move goes to a sink state."""
+    """Minimal complete DFA, by partition refinement on reachable states."""
     if not is_deterministic(A):
         A = determinize(A, state_cap)
+    A = _complete(A, A.alphabet)
     letters = sorted(A.alphabet)
-    by_letter = A.tables.by_letter
-    sink = object()  # a state no automaton has
+    maps = A.tables
 
     def delta(s, a):
-        targets = by_letter.get(s, _NO_MOVES).get(a)
-        return sink if targets is None else next(iter(targets))
+        (target,) = maps.by_letter[s][a]
+        return target
 
     (start,) = A.initial
     order = [start]

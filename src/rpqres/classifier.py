@@ -5,9 +5,8 @@ languages are tractable; finite reduced languages are checked for repeated
 letters, four-legged splits, the bipartite-chain shape, the two-word
 submodular pattern, and a small catalog of individually proven hard
 languages; infinite reduced languages are checked for aperiodicity, a
-neutral letter, and four-legged splits.  Both paths decide
-four-leggedness exactly on the reduced DFA.  Anything that matches no criterion is
-reported UNKNOWN, never guessed.
+neutral letter, and four-legged splits, decided exactly on the reduced
+DFA.  Anything that matches no criterion is reported UNKNOWN, never guessed.
 """
 
 from __future__ import annotations
@@ -59,84 +58,71 @@ class FourLeggedWitness(NamedTuple):
     after2: Word
 
     def rendered(self) -> dict:
-        return {
-            "letter": self.letter,
-            "before1": lang.render_word(self.before1),
-            "after1": lang.render_word(self.after1),
-            "before2": lang.render_word(self.before2),
-            "after2": lang.render_word(self.after2),
-        }
+        legs = dict(zip(self._fields[1:], map(lang.render_word, self[1:])))
+        return {"letter": self.letter, **legs}
 
 
 def _shortest_words(delta: dict, start) -> dict:
-    """Map each state that some non-empty word leads the start to onto the
-    shortest, then least, such word; entries come in the order of words."""
+    """Map each state a non-empty word leads the start to onto the shortest,
+    then least, such word, as nested (last letter, rest) pairs, in order."""
     found: dict = {}
-    queue = [(start, ())]
+    queue = [(start, None)]
     for state, word in queue:  # grows while states are found
         for letter, target in sorted(delta.get(state, {}).items()):
             if target not in found:
-                found[target] = word + (letter,)
+                found[target] = (letter, word)
                 queue.append((target, found[target]))
     return found
+
+
+def _spelled(word) -> Word:
+    letters = []
+    while word is not None:
+        letter, word = word
+        letters.append(letter)
+    return tuple(reversed(letters))
 
 
 def four_legged_witness(
     D: EpsNFA, state_cap: int = automata.DEFAULT_STATE_CAP
 ) -> Optional[FourLeggedWitness]:
-    """A four-legged split of the language of a trim DFA, or None.
-
-    The language is four-legged iff, for some letter x, states
-    p = δ(q0, αx) and p' = δ(q0, γx) with α and γ non-empty exist such
-    that p has a move out and some non-empty word leads p' to a final
-    state and p to a non-final or missing one.  Per letter, in sorted
-    order, one breadth-first search over pairs (p', p) decides this.  Its
-    seeds are ordered by the shortest, then least, α and then γ, its
-    parents give the legs, and the state cap counts its pairs.
-    """
-    if not D.initial:
-        return None
-    delta = {
-        s: {a: t for a, (t,) in moves.items()}
-        for s, moves in D.tables.by_letter.items()
-    }
-    (q0,) = D.initial
-    prefixes = _shortest_words(delta, q0)
-    for x in sorted(D.alphabet):
-        heads: dict = {}  # p = δ(q0, αx) -> α
-        for state, alpha in prefixes.items():
-            p = delta.get(state, {}).get(x)
-            if p is not None and p not in heads:
-                heads[p] = alpha
-        # (p', p) -> (previous pair, letter), or None at a seed
-        parent = {
-            (p2, p): None
-            for p in heads if p in delta
-            for p2 in heads if p2 != p and p2 in delta
-        }
-        queue = list(parent)
-        for pair in queue:  # grows while pairs are found
-            if len(parent) > state_cap:
-                raise ResourceCapError(
-                    f"four-legged search exceeded the {state_cap}-pair cap"
-                )
-            p2, p = pair
-            for letter, t2 in sorted(delta[p2].items()):
-                t = delta.get(p, {}).get(letter)
-                if t2 in D.final and t not in D.final:
-                    after2 = (letter,)
-                    while parent[pair] is not None:
-                        pair, letter = parent[pair]
-                        after2 = (letter,) + after2
-                    p2, p = pair
-                    after1 = next(
-                        w for s, w in _shortest_words(delta, p).items()
-                        if s in D.final
-                    )
-                    return FourLeggedWitness(x, heads[p], after1, heads[p2], after2)
-                if (t2, t) not in parent and t2 in delta:
-                    parent[(t2, t)] = (pair, letter)
-                    queue.append((t2, t))
+    """A four-legged split of the language of a DFA, or None: for a letter
+    x, states p = δ(q0, αx) != p' = δ(q0, γx) with α, γ non-empty, p able
+    to move, and a non-empty word leading p' to a final state and p to a
+    non-final or missing one.  Per letter, each seed (p', p) in order of α
+    then γ gets a breadth-first search over the pairs it reaches; pairs a
+    failed search saw are skipped.  The state cap counts pairs seen per letter."""
+    D = automata.trim(D)
+    if D.initial and not automata.is_deterministic(D):
+        raise InputError("four-legged detection requires a deterministic automaton")
+    delta = {s: {a: t for a, (t,) in m.items()} for s, m in D.tables.by_letter.items()}
+    by_letter: dict = {}  # x -> {p = δ(q0, αx): α}
+    prefixes = _shortest_words(delta, *D.initial) if D.initial else {}
+    for state, alpha in prefixes.items():
+        for x, p in delta.get(state, {}).items():
+            by_letter.setdefault(x, {}).setdefault(p, alpha)
+    for x, heads in sorted(by_letter.items()):
+        movers = [p for p in heads if p in delta]
+        seen: dict = {}  # (p', p) -> the word that leads its seed to it
+        seeds = ((p2, p) for p in movers for p2 in movers if p2 != p)
+        for seed in (pair for pair in seeds if pair not in seen):  # read lazily
+            seen[seed] = None
+            queue = [seed]
+            for pair in queue:  # grows while pairs are found
+                if len(seen) > state_cap:
+                    raise ResourceCapError(f"four-legged search over {state_cap} pairs")
+                p2, p = pair
+                for letter, t2 in sorted(delta[p2].items()):
+                    t = delta.get(p, {}).get(letter)
+                    if t2 in D.final and t not in D.final:
+                        p2, p = seed
+                        ends = _shortest_words(delta, p)
+                        after1 = next(w for s, w in ends.items() if s in D.final)
+                        legs = (heads[p], after1, heads[p2], (letter, seen[pair]))
+                        return FourLeggedWitness(x, *map(_spelled, legs))
+                    if t2 != t and t2 in delta and (t2, t) not in seen:
+                        seen[(t2, t)] = (letter, seen[pair])
+                        queue.append((t2, t))
     return None
 
 
@@ -145,9 +131,7 @@ def is_four_legged_finite(language: Iterable[Word]) -> Optional[FourLeggedWitnes
     words = frozenset(language)
     if lang.reduce_finite(words) != words:
         raise InputError("four-legged detection requires a reduced language")
-    return four_legged_witness(
-        automata.trim(automata.determinize(automata.words_to_nfa(words)))
-    )
+    return four_legged_witness(automata.determinize(automata.words_to_nfa(words)))
 
 
 def chain_violation(language: Iterable[Word]) -> Optional[str]:
@@ -346,10 +330,8 @@ def _finite_verdict(words: frozenset, reduced: EpsNFA, state_cap: int) -> Verdic
 
     legs = four_legged_witness(reduced, state_cap)
     if legs is not None:
-        return Verdict(
-            NP_HARD, None, "four-legged",
-            {"kind": "four-legged", **legs.rendered()},
-        )
+        witness = {"kind": "four-legged", **legs.rendered()}
+        return Verdict(NP_HARD, None, "four-legged", witness)
 
     analysis = bcl_analysis(words)
     if analysis.is_bcl:
@@ -389,10 +371,7 @@ def _finite_verdict(words: frozenset, reduced: EpsNFA, state_cap: int) -> Verdic
 
 
 def _infinite_verdict(
-    A: EpsNFA,
-    reduced: EpsNFA,
-    state_cap: int,
-    monoid_cap: int,
+    A: EpsNFA, reduced: EpsNFA, state_cap: int, monoid_cap: int
 ) -> Verdict:
     periodic = automata.non_aperiodic_witness(reduced, monoid_cap, state_cap)
     if periodic is not None:
@@ -404,12 +383,14 @@ def _infinite_verdict(
         }
         return Verdict(NP_HARD, None, "not aperiodic", witness)
 
-    neutral = None
-    for letter in sorted(A.alphabet):
-        if automata.is_neutral_letter(A, letter, state_cap):
-            neutral = letter
-            break
-    legs = four_legged_witness(reduced, state_cap)
+    neutral = next((a for a in sorted(A.alphabet)
+                    if automata.is_neutral_letter(A, a, state_cap)), None)
+    try:
+        legs = four_legged_witness(reduced, state_cap)
+    except ResourceCapError:
+        if neutral is None:
+            raise
+        legs = None  # optional beside the neutral letter
     if neutral is not None:
         # the reduction is not local (that was settled earlier), so the
         # neutral-letter dichotomy lands on the hard side
@@ -419,10 +400,8 @@ def _infinite_verdict(
         return Verdict(NP_HARD, None, "neutral letter dichotomy", witness)
 
     if legs is not None:
-        return Verdict(
-            NP_HARD, None, "four-legged",
-            {"kind": "four-legged", **legs.rendered()},
-        )
+        witness = {"kind": "four-legged", **legs.rendered()}
+        return Verdict(NP_HARD, None, "four-legged", witness)
     return Verdict(UNKNOWN, None, "unclassified", None)
 
 

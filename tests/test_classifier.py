@@ -7,13 +7,14 @@ import weakref
 import pytest
 
 import oracles
-from rpqres import lang
+from rpqres import classifier, lang
 from rpqres.automata import (
     accepts,
     automaton_for,
     determinize,
     is_finite_language,
     language_words,
+    make_nfa,
     reduce_regular,
     trim,
 )
@@ -131,18 +132,61 @@ def test_four_legged_witness_has_no_leg_bound():
 
 
 def test_four_legged_search_respects_the_state_cap():
-    # five heads on x make 20 seed pairs in a 16-state DFA, so a pair cap
-    # between the two ends the search before it starts
-    text = "ax*b|cx*d|ex*f|gx*h|ix*j"
+    # five heads on x make 20 seed pairs, but the first seed already
+    # splits, so a cap below the seed count still finds the split
+    D = reduce_regular(automaton_for("ax*b|cx*d|ex*f|gx*h|ix*j"))
+    assert four_legged_witness(D, state_cap=1) == ("x", ("a",), ("b",), ("c",), ("d",))
+    # the first split of axc*b|dxccccccf is six pairs deep on the letter c
+    text = "axc*b|dxccccccf"
     D = reduce_regular(automaton_for(text))
-    assert len(D.states) == 16
-    assert four_legged_witness(D, state_cap=20) is not None
+    assert four_legged_witness(D, state_cap=6) is not None
     with pytest.raises(ResourceCapError):
-        four_legged_witness(D, state_cap=19)
-    verdict = classify(text, state_cap=18)
+        four_legged_witness(D, state_cap=5)
+    verdict = classify(text, state_cap=5)
     assert verdict.status == UNKNOWN
-    assert verdict.reason.startswith("resource cap: four-legged search")
-    assert classify(text, state_cap=20).reason == "four-legged"
+    assert verdict.reason.startswith("resource cap")
+    assert classify(text).reason == "four-legged"
+
+
+def test_four_legged_search_finds_a_split_among_many_seeds():
+    # 400 heads on the first middle letter give 159,600 seed pairs, more
+    # than the default cap; the first seed splits after one letter, or
+    # after two when the middle is cx
+    for middle in ("x", "cx"):
+        text = "|".join(f"[a{i}]{middle}[b{i}]" for i in range(400))
+        verdict = classify(text)
+        assert verdict.status == NP_HARD, middle
+        assert verdict.witness == {
+            "kind": "four-legged",
+            "letter": middle[0],
+            "before1": "[a0]",
+            "after1": middle[1:] + "[b0]",
+            "before2": "[a1]",
+            "after2": middle[1:] + "[b1]",
+        }
+
+
+def test_four_legged_witness_checks_its_automaton():
+    with pytest.raises(InputError):
+        four_legged_witness(automaton_for("axb|cxd"))  # has epsilon moves
+    # {ax, cxd} plus a dead state: the final state after ax may move, but
+    # only into the dead state, so no leg follows it
+    moves = [(0, "a", 1), (1, "x", 2), (2, "z", 6)]
+    moves += [(0, "c", 3), (3, "x", 4), (4, "d", 5)]
+    dfa = make_nfa(range(7), [0], [2, 5], moves)
+    assert four_legged_witness(dfa) is None
+
+
+def test_neutral_letter_verdict_survives_a_capped_search(monkeypatch):
+    def capped(D, state_cap):
+        raise ResourceCapError("four-legged search over 0 pairs")
+
+    monkeypatch.setattr(classifier, "four_legged_witness", capped)
+    verdict = classify("e*be*ce*|e*de*fe*")
+    assert verdict.status == NP_HARD
+    assert verdict.reason == "neutral letter dichotomy"
+    assert verdict.witness == {"kind": "neutral-letter", "letter": "e"}
+    assert classify("ax*b|cxd").reason.startswith("resource cap")
 
 
 def test_four_legged_requires_reduced_input():
