@@ -15,6 +15,7 @@ a solver from the classifier verdict.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ def resilience_exact(
     prod = graphdb.product(db, A)
     mults = [m for _, m in db.entries]
     index = {fact: i for i, fact in enumerate(prod.facts)}
-    cores: list[int] = []
+    cores: list[tuple] = []
     cost, removed = 0, 0
     while True:
         walk = graphdb.witness_walk(prod, removed)
@@ -98,20 +99,30 @@ def resilience_exact(
             core = 0
             for fact in walk:
                 core |= 1 << index[fact]
-            cores.append(core)
+            _add_core(cores, core, mults)
             blocked |= core
             walk = graphdb.witness_walk(prod, blocked)
         # more cores never lower the minimum, so the last one is a floor
         cost, removed = _min_hitting_set(cores, mults, cost, removed)
 
 
+def _add_core(cores: list, core: int, mults) -> None:
+    """Insert the bitmask ``core`` into ``cores``, a list of ``(size, mask,
+    order)`` tuples in increasing ``(size, mask)`` order, where ``order``
+    lists a core's facts by ``(mults[i], i)``.  Each core is sorted once,
+    here, however many hitting-set searches then read it.
+    """
+    order = tuple(sorted(_bits(core), key=lambda i: (mults[i], i)))
+    bisect.insort(cores, (len(order), core, order))
+
+
 def _min_hitting_set(cores, mults, floor: int = 0, start: int = 0) -> tuple[int, int]:
-    """A minimum-weight hitting set of the int bitmasks ``cores``, as its
-    weight and bitmask; fact ``i`` weighs ``mults[i]``.  ``floor`` is a
-    known lower bound on the weight, and the search stops at a hitting set
-    that reaches it.  ``start`` is a fact set to begin from: it is completed
-    by the cheapest fact of each core it misses, and the search looks for a
-    lighter set than that.
+    """A minimum-weight hitting set of ``cores``, as its weight and
+    bitmask; ``cores`` is a list that ``_add_core`` keeps, and fact ``i``
+    weighs ``mults[i]``.  ``floor`` is a known lower bound on the weight,
+    and the search stops at a hitting set that reaches it.  ``start`` is a
+    fact set to begin from: it is completed by the cheapest fact of each
+    core it misses, and the search looks for a lighter set than that.
 
     Depth-first branch and bound on an explicit stack.  A node chooses
     some facts and excludes others.  It branches on the unhit core with the
@@ -123,12 +134,10 @@ def _min_hitting_set(cores, mults, floor: int = 0, start: int = 0) -> tuple[int,
     pairwise disjoint open facts, smallest first, and adds each one's
     cheapest open fact: no fact can hit two of them.
     """
-    order = {core: sorted(_bits(core), key=lambda i: (mults[i], i)) for core in cores}
-    cores = sorted(order, key=lambda core: (core.bit_count(), core))
     best = start
-    for core in cores:
+    for _, core, order in cores:
         if not core & best:
-            best |= 1 << order[core][0]
+            best |= 1 << order[0]
     best_cost = sum(mults[i] for i in _bits(best))
     stack = [(0, 0, 0)] if best_cost > floor else []  # (weight, chosen, excluded)
     while stack:
@@ -136,17 +145,20 @@ def _min_hitting_set(cores, mults, floor: int = 0, start: int = 0) -> tuple[int,
         if cost >= best_cost:
             continue
         bound, packed, branch, width = 0, 0, None, 0
-        for core in cores:
+        for _, core, order in cores:
             if core & chosen:
                 continue
             live = core & ~excluded
             if not live:
                 break
             if branch is None or live.bit_count() < width:
-                branch, width = core, live.bit_count()
+                branch, width = order, live.bit_count()
             if not live & packed:
                 packed |= live
-                bound += next(mults[i] for i in order[core] if live >> i & 1)
+                for i in order:
+                    if live >> i & 1:
+                        bound += mults[i]
+                        break
         else:
             if branch is None:
                 best_cost, best = cost, chosen
@@ -154,7 +166,7 @@ def _min_hitting_set(cores, mults, floor: int = 0, start: int = 0) -> tuple[int,
                     break
             elif cost + bound < best_cost:
                 children = []
-                for i in order[branch]:
+                for i in branch:
                     if not excluded >> i & 1:
                         if cost + mults[i] < best_cost:
                             children.append((cost + mults[i], chosen | 1 << i, excluded))
@@ -508,7 +520,8 @@ def resilience(
     Set semantics collapses multiplicities to one first.  An explicit
     solver choice is honored directly and refused when the language does
     not fit it; auto falls back to the exact solver, subject to its fact
-    cap, when the classification is NP_HARD or UNKNOWN.
+    cap, when the classification is NP_HARD or UNKNOWN, and has it search
+    the reduced DFA, true on the same sub-databases as the language.
     """
     if semantics not in ("set", "bag"):
         raise InputError(f"unknown semantics {semantics!r}")
@@ -542,4 +555,5 @@ def resilience(
             f" and the database has {len(db)} facts, over the exact-solver"
             f" cap of {fact_cap}"
         )
-    return resilience_exact(db, A, fact_cap)
+    reduced = A if analysis.reduced is None else analysis.reduced
+    return resilience_exact(db, reduced, fact_cap)

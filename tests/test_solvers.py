@@ -20,7 +20,7 @@ try:  # optional: an independent MILP solver to check against
     from scipy import optimize
 except ImportError:
     optimize = None
-from rpqres import automata, flow, gadgets, graphdb, solvers
+from rpqres import automata, classifier, flow, gadgets, graphdb, solvers
 from rpqres.automata import automaton_for, minimize, words_to_nfa
 from rpqres.errors import InputError, ResourceCapError, SolverRefusal
 from rpqres.graphdb import Fact, GraphDB
@@ -199,6 +199,14 @@ def random_cores(rng, n):
     return cores
 
 
+def core_list(masks, mults):
+    """The sorted core list the exact search keeps, built from bitmasks."""
+    cores = []
+    for mask in masks:
+        solvers._add_core(cores, mask, mults)
+    return cores
+
+
 def test_min_hitting_set_matches_an_exhaustive_minimum():
     rng = random.Random("hitting set")
     cases = [
@@ -213,7 +221,9 @@ def test_min_hitting_set_matches_an_exhaustive_minimum():
         expected = exhaustive_hitting_set(cores, mults)
         # any floor up to the minimum, starting from any fact set
         for floor, start in ((0, 0), (rng.randint(0, expected), rng.getrandbits(len(mults)))):
-            cost, chosen = solvers._min_hitting_set(cores, mults, floor, start)
+            cost, chosen = solvers._min_hitting_set(
+                core_list(cores, mults), mults, floor, start
+            )
             assert cost == expected, (cores, mults, floor, start)
             assert cost == sum(m for i, m in enumerate(mults) if chosen >> i & 1)
             assert all(core & chosen for core in cores), (cores, mults, floor, start)
@@ -227,7 +237,7 @@ def test_min_hitting_set_searches_deep_without_recursion():
     hub = 1 << 1_100
     star = [hub | 1 << (1_101 + k) for k in range(3)]
     mults = [1] * 1_100 + [2, 1, 1, 1]
-    cost, chosen = solvers._min_hitting_set(singles + star, mults)
+    cost, chosen = solvers._min_hitting_set(core_list(singles + star, mults), mults)
     assert cost == 1_102
     assert chosen == sum(singles) | hub
 
@@ -262,7 +272,9 @@ def milp_resilience(db, words):
 
 
 @pytest.mark.skipif(optimize is None, reason="needs scipy")
-@pytest.mark.parametrize("spec", ["aa", "ab|bc|ca", "axb|cxd", "abc|be|ef"])
+@pytest.mark.parametrize(
+    "spec", ["aa", "ab|bc|ca", "axb|cxd", "abc|be|ef", "aa|aab", "ab|bc|ca|abc"]
+)
 def test_exact_matches_a_milp_hitting_set_at_full_size(spec):
     rng = random.Random(f"milp {spec}")
     words = automata.language_words(automaton_for(spec))
@@ -271,8 +283,12 @@ def test_exact_matches_a_milp_hitting_set_at_full_size(spec):
         db = random_db(rng, letters, max_facts=40, max_nodes=5, max_mult=3)
         while len(db) < 15 or len(db) > solvers.DEFAULT_EXACT_CAP:
             db = random_db(rng, letters, max_facts=40, max_nodes=5, max_mult=3)
+        expected = milp_resilience(db, words)
         answer = solvers.resilience_exact(db, spec)
-        assert answer.value == milp_resilience(db, words), (spec, db.entries)
+        assert answer.value == expected, (spec, db.entries)
+        check_answer(db, spec, answer)
+        answer = solvers.resilience(db, spec)
+        assert answer.value == expected, (spec, db.entries)
         check_answer(db, spec, answer)
 
 
@@ -697,6 +713,51 @@ def test_dispatch_hard_language_respects_fact_cap():
     )
     with pytest.raises(ResourceCapError, match="NP_HARD"):
         solvers.resilience(db, "aa")
+
+
+@pytest.mark.parametrize(
+    "spec", ["aa|aab", "ab|bc|ca|abc", "axb|cxd|axbd", "b(aa)*d|bd", "abc|bcd|abcd"]
+)
+def test_dispatch_searches_the_reduced_dfa_of_a_hard_language(spec, monkeypatch):
+    """Auto resilience of a hard language searches its reduced DFA, which
+    has the same resilience and contingency sets; a direct exact call
+    searches the automaton of the spec as given."""
+    searched = []
+
+    def recording(db, A, _real=graphdb.product):
+        searched.append(A)
+        return _real(db, A)
+
+    monkeypatch.setattr(graphdb, "product", recording)
+    rng = random.Random(f"reduced {spec}")
+    letters = sorted(set(spec) - set("()|*"))
+    for _ in range(60):
+        db = random_db(rng, letters, max_facts=12, max_nodes=4, max_mult=3)
+        searched.clear()
+        answer = solvers.resilience(db, spec)
+        direct = solvers.resilience_exact(db, spec)
+        assert answer.method == "exact"
+        assert answer.value == direct.value, (spec, db.entries)
+        check_answer(db, spec, answer)
+        auto_automaton, direct_automaton = searched
+        assert automata.is_deterministic(auto_automaton)
+        assert not automata.is_deterministic(direct_automaton)
+
+
+def test_dispatch_searches_the_given_automaton_after_a_resource_cap():
+    spec = "(a|b)*a(a|b)(a|b)(a|b)"
+    analysis = classifier.analyse(spec, state_cap=8)
+    assert analysis.verdict.status == classifier.UNKNOWN
+    assert analysis.verdict.reason.startswith("resource cap")
+    assert analysis.reduced is None
+    rng = random.Random("capped")
+    db = random_db(rng, "ab", max_facts=40, max_nodes=6, max_mult=3)
+    while len(db) < 15 or len(db) > solvers.DEFAULT_EXACT_CAP:
+        db = random_db(rng, "ab", max_facts=40, max_nodes=6, max_mult=3)
+    answer = solvers.resilience(db, spec, state_cap=8)
+    assert answer.method == "exact"
+    assert answer.value == solvers.resilience_exact(db, spec).value > 0
+    check_answer(db, spec, answer)
 
 
 def test_dispatch_set_semantics():
