@@ -8,6 +8,12 @@ Capacities are Python integers, so sums cannot overflow.
 A ``FlowNetwork`` numbers its vertices on first use, the source 0 and the
 target 1, and stores edge ``k`` as the residual slots ``2k`` (forward)
 and ``2k + 1`` (reverse): one array of slot ends, one of capacities.
+``add_edge`` numbers the ends of one edge at a time; the product-network
+builder in ``solvers`` numbers the vertices itself, in the same order,
+and writes all its edges in one private call.  That builder has already
+merged every vertex hanging off an unbounded edge from the source (or to
+the target) into the source (or the target): no finite cut crosses such
+an edge, so the merge changes neither the value nor the cut.
 ``min_cut`` reads those arrays directly.  Infinite capacities become one
 more than the sum of the finite ones, so a reach along such slots alone
 decides whether any finite cut exists; when one does, no flow can
@@ -71,6 +77,19 @@ class FlowNetwork:
         self._ends.append(index.setdefault(tail, len(index)))
         self._caps.append(capacity)
         return len(self._caps) - 1
+
+    def _add_numbered(self, vertices, ends, caps) -> None:
+        """Append edges whose ends the caller has numbered already.
+
+        ``vertices`` names the new numbers in order, starting at the
+        current vertex count; ``ends`` holds the head and then the tail
+        number of each edge, as ``_ends`` does; ``caps`` holds the
+        capacities, which are not checked.
+        """
+        index = self._index
+        index.update(zip(vertices, range(len(index), len(index) + len(vertices))))
+        self._ends += ends
+        self._caps += caps
 
     @property
     def edges(self) -> list[Edge]:

@@ -194,46 +194,74 @@ def _product_network(size, fact_arcs, unbounded_arcs, sources, targets):
     them as it created them.  ``fact_arcs`` are ``(tail, head, facts,
     mult)`` tuples, one capacity-mult edge each, tagged with the tuple of
     facts that cutting it removes; ``unbounded_arcs`` are ``(tail, head)``
-    pairs; ``sources`` and ``targets`` are the vertices attached, by
-    unbounded edges, from the network's source and to its target.
-    Returns the network and a map from edge index to facts.
+    pairs; ``sources`` and ``targets`` are disjoint sets of vertices
+    attached, by unbounded edges, from the network's source and to its
+    target.  Returns the network and a map from edge index to facts.
 
-    Only vertices forward-reachable from a source attachment and
-    backward-reachable to a target attachment are added, so every edge
-    lies on a source-target path.  Pruning keeps the answer: the flow runs
-    along such paths only, and the source side of the inclusion-minimal
-    minimum cut loses only vertices that no cut edge touches.
+    Each attached vertex merges into its terminal: no finite cut crosses
+    an unbounded edge, so every one already puts a source attachment on
+    the source side and a target attachment on the target side.  Arcs that
+    would then enter the source or leave the target cross no cut from the
+    source side to the target side and are dropped.  The value, the
+    inclusion-minimal minimum cut and its facts stay the same, and every
+    augmenting path is two edges shorter.
+
+    Only vertices on a path from a source attachment to a target
+    attachment through unattached vertices are kept, so every edge lies
+    on a source-target path of the merged network.  Pruning keeps the
+    answer: the flow runs along such paths only, and the source side of
+    the inclusion-minimal minimum cut loses only vertices that no cut edge
+    touches.  The builder numbers the network's vertices itself, the
+    source 0, the target 1 and the rest on first use, head before tail,
+    and writes the edges into the network in one call.
     """
     succ: list[list[int]] = [[] for _ in range(size)]
     pred: list[list[int]] = [[] for _ in range(size)]
     for arc in itertools.chain(fact_arcs, unbounded_arcs):
         succ[arc[0]].append(arc[1])
         pred[arc[1]].append(arc[0])
-    # mark 1: reached from a source; 2: also reaches a target.  The backward
-    # reach may keep to marked vertices: every path from one stays marked.
+    # network vertex numbers; -1 until an unattached vertex is first used
+    number = [-1] * size
+    for v in sources:
+        number[v] = 0
+    for v in targets:
+        number[v] = 1
+    # mark 1: reached from a source; 2: also reaches a target.  Neither
+    # reach walks on from the other terminal's attachments, whose onward
+    # arcs the merge drops; the backward one keeps to marked vertices,
+    # since every path from one stays marked.
     mark = bytearray(size)
-    for level, adjacency, seeds in ((1, succ, sources), (2, pred, targets)):
+    for level, adjacency, seeds, stop in ((1, succ, sources, 1), (2, pred, targets, 0)):
         stack = list(seeds)
         while stack:
             v = stack.pop()
             if mark[v] == level - 1:
                 mark[v] = level
-                stack.extend(adjacency[v])
+                if number[v] != stop:
+                    stack.extend(adjacency[v])
 
-    net = flow.FlowNetwork("source", "target")
+    vertices: list = []  # the product vertex numbered 2 + i
+    ends: list[int] = []  # head and tail number per edge
+    caps: list = []
     tag = {}
-    for v in sources:
-        if mark[v] == 2:
-            net.add_edge("source", v, INF)
-    for tail, head, facts, m in fact_arcs:
-        if mark[tail] == 2 and mark[head] == 2:
-            tag[net.add_edge(tail, head, m)] = facts
-    for tail, head in unbounded_arcs:
-        if mark[tail] == 2 and mark[head] == 2:
-            net.add_edge(tail, head, INF)
-    for v in targets:
-        if mark[v] == 2:
-            net.add_edge(v, "target", INF)
+    for arc in itertools.chain(fact_arcs, unbounded_arcs):
+        tail, head = arc[0], arc[1]
+        if mark[tail] != 2 or mark[head] != 2:
+            continue
+        if number[head] == 0 or number[tail] == 1:
+            continue
+        for v in (head, tail):
+            if number[v] < 0:
+                number[v] = len(vertices) + 2
+                vertices.append(v)
+        ends += (number[head], number[tail])
+        if len(arc) == 4:
+            tag[len(caps)] = arc[2]
+            caps.append(arc[3])
+        else:
+            caps.append(INF)
+    net = flow.FlowNetwork("source", "target")
+    net._add_numbered(vertices, ends, caps)
     return net, tag
 
 
@@ -352,8 +380,11 @@ def resilience_bcl(
         )
 
     singles = {w[0] for w in words if len(w) == 1}
-    forced = frozenset(f for f in db.facts() if f.label in singles)
-    forced_cost = sum(db.mult(f) for f in forced)
+    forced, forced_cost = frozenset(), 0
+    if singles:
+        hits = [(f, m) for f, m in db.entries if f.label in singles]
+        forced = frozenset(f for f, _ in hits)
+        forced_cost = sum(m for _, m in hits)
     long_words = sorted(w for w in words if len(w) >= 2)
     if not long_words:
         return ResilienceAnswer(forced_cost, forced, "bcl")
@@ -431,7 +462,7 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
         )
     level = {letter: k for k, letter in enumerate(word[:-1])}
     last = len(word) - 1
-    ids: dict = {}  # (node, k), ("exit", node), ("entry", node) -> vertex
+    ids: dict = {}  # (node, k), (node, "exit"), (node, "entry") -> vertex
     fact_arcs = []
     into: dict = {}  # node -> a_{n-1} facts into it
     out: dict = {}  # node -> e facts out of it
@@ -458,16 +489,16 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
         if not leaving:
             continue
         cheaper = min(into[v], leaving, key=cost)
-        exits.append(ids.setdefault(("exit", v), len(ids)))
+        exits.append(ids.setdefault((v, "exit"), len(ids)))
         fact_arcs.append((ids[v, last], exits[-1], tuple(cheaper), cost(cheaper)))
         if v in out:
-            entries.append(ids.setdefault(("entry", v), len(ids)))
+            entries.append(ids.setdefault((v, "entry"), len(ids)))
             fact_arcs.append((entries[-1], ids[v, last], tuple(out[v]), cost(out[v])))
     net, tag = _product_network(
         len(ids),
         fact_arcs,
         [],
-        [ids[v, 0] for v in sorted(db.adom()) if (v, 0) in ids] + entries,
+        [i for (_, k), i in ids.items() if k == 0] + entries,
         exits,
     )
     value, contingency = _cut_facts(net, tag)

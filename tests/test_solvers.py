@@ -425,6 +425,96 @@ def test_networks_hold_only_useful_vertices(language, monkeypatch):
         assert vertices <= on_some_path(net)
 
 
+def test_product_network_merges_attachments_exactly():
+    """The builder's merged network has the min-cut value of the unmerged
+    one, with the attachments kept as unbounded edges from and to the
+    terminals, and its cut's tags remove facts worth exactly that value."""
+    rng = random.Random(16)
+    finite = 0
+    for _ in range(300):
+        size = rng.randint(2, 8)
+        order = rng.sample(range(size), size)
+        split = rng.randint(1, size - 1)
+        sources = order[: rng.randint(1, split)]
+        targets = order[split : split + rng.randint(1, size - split)]
+        arcs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 6))]
+        arcs.append((rng.choice(sources), rng.choice(targets)))  # straight across
+        arcs.append((rng.randrange(size), rng.choice(sources)))  # into a source attachment
+        arcs.append((rng.choice(sources), rng.randrange(size)))
+        arcs.append((rng.randrange(size), rng.choice(targets)))
+        arcs.append((rng.choice(targets), rng.randrange(size)))  # out of a target attachment
+        arcs.append(rng.choice(arcs))  # parallel
+        rng.shuffle(arcs)
+        unbounded = set(rng.sample(range(len(arcs)), rng.randint(0, len(arcs) // 3)))
+        fact_arcs = [
+            (tail, head, (f"f{k}",), rng.randint(1, 3))
+            for k, (tail, head) in enumerate(arcs)
+            if k not in unbounded
+        ]
+        unbounded_arcs = [arcs[k] for k in sorted(unbounded)]
+        attached = [("s", v, math.inf) for v in sources] + [
+            (v, "t", math.inf) for v in targets
+        ]
+        unmerged = attached + [(t, h, math.inf) for t, h in unbounded_arcs]
+        want = oracles.brute_min_cut_value(
+            unmerged + [(t, h, m) for t, h, _, m in fact_arcs], "s", "t"
+        )
+        net, tag = solvers._product_network(
+            size, fact_arcs, unbounded_arcs, sources, targets
+        )
+        cut = flow.min_cut(net)
+        assert cut.value == want, (size, fact_arcs, unbounded_arcs, sources, targets)
+        if math.isinf(want):
+            continue
+        finite += 1
+        removed = {f for i in cut.edge_indices for f in tag[i]}
+        worth = {facts[0]: m for _, _, facts, m in fact_arcs}
+        assert sum(worth[f] for f in removed) == want
+        kept = [(t, h, m) for t, h, facts, m in fact_arcs if facts[0] not in removed]
+        assert oracles.brute_min_cut_value(unmerged + kept, "s", "t") == 0
+    assert finite >= 150
+
+
+def test_networks_meet_the_terminals_by_fact_edges_only(monkeypatch):
+    """Attachments merge into the terminals: no edge enters the source or
+    leaves the target, none of the unbounded attachment edges is left, and
+    every vertex still lies on a source-target path."""
+    networks = capture_networks(monkeypatch)
+    rng = random.Random(17)
+    for language in sorted(PRUNED_CASES):
+        letters, _ = PRUNED_CASES[language]
+        for _ in range(10):
+            db = random_db(rng, letters, max_facts=24, max_nodes=8)
+            solvers.resilience(with_unused_labels(rng, db), language)
+    # unreduced languages: arcs into initial and out of final states
+    for language in ("x*ab", "ab*", "xa*b", "x*ab|xx*c", "ab*|cbb*"):
+        for _ in range(10):
+            db = random_db(rng, "abcx", max_facts=24, max_nodes=6)
+            solvers.resilience_local(db, language)
+    assert len(networks) == 100
+    for net in networks:
+        assert {v for e in net.edges for v in e[:2]} <= on_some_path(net)
+        for e in net.edges:
+            assert e.head != net.source and e.tail != net.target
+            if e.tail == net.source or e.head == net.target:
+                assert e.capacity != flow.INF
+
+
+def test_axb_network_size_is_pinned(monkeypatch):
+    networks = capture_networks(monkeypatch)
+    db = graphdb.parse_db(
+        "u a v\nv x w\nw x v\nw b z\nv b y\nq a r\nr x r\nz a u\nv c w\n"
+    )
+    answer = solvers.resilience(db, "ax*b")
+    assert (answer.value, answer.method) == (1, "local")
+    [net] = networks
+    vertices = {net.source, net.target} | {v for e in net.edges for v in e[:2]}
+    # five facts lie on an accepted walk and six epsilon moves join them;
+    # the a fact's tail is the source and the b facts' heads are the target,
+    # leaving seven other vertices (unmerged: 12 vertices and 14 edges)
+    assert (len(vertices), len(net.edges)) == (9, 11)
+
+
 def test_databases_are_not_kept_alive():
     db = graphdb.parse_db(
         "u a v\nv b w\nw c x\nw e y\np a q\nq b r\nr e s\nr c t\n"
