@@ -11,7 +11,10 @@ state, no epsilon transitions, at most one outgoing transition per state
 and letter).
 
 Epsilon is represented by the label ``None`` in memory and by the reserved
-token ``EPS`` in the text format.
+token ``EPS`` in the text format.  A regex becomes Thompson's automaton with
+its epsilon moves contracted (`regex_to_epsnfa`), which has about a third
+of the states and is most often epsilon-free, so every analysis of the
+language starts from the smaller automaton.
 """
 
 from __future__ import annotations
@@ -180,7 +183,15 @@ def is_deterministic(A: EpsNFA) -> bool:
 
 
 def trim(A: EpsNFA) -> EpsNFA:
-    """Drop states that are unreachable or cannot reach a final state."""
+    """Drop states that are unreachable or cannot reach a final state.
+
+    The result is kept on A, outside the fields as its tables are, and a
+    trimmed automaton is its own trim (marked True, so that no automaton
+    refers to itself).
+    """
+    found = vars(A).get("_trimmed")
+    if found is not None:
+        return A if found is True else found
     fwd: dict = {}
     rev: dict = {}
     for src, _, dst in A.transitions:
@@ -188,14 +199,18 @@ def trim(A: EpsNFA) -> EpsNFA:
         rev.setdefault(dst, set()).add(src)
     useful = reach(fwd, A.initial) & reach(rev, A.final)
     if useful == A.states:  # nothing to drop: keep A and its built tables
+        vars(A)["_trimmed"] = True
         return A
-    return EpsNFA(
+    T = EpsNFA(
         frozenset(useful),
         A.initial & useful,
         A.final & useful,
         frozenset(t for t in A.transitions if t[0] in useful and t[2] in useful),
         A.alphabet,
     )
+    vars(A)["_trimmed"] = T
+    vars(T)["_trimmed"] = True
+    return T
 
 
 def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
@@ -363,56 +378,137 @@ def minimize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
 
 
 def regex_to_epsnfa(r: lang.Regex) -> EpsNFA:
-    """Inductive construction; each subexpression gets a fresh start/end.
+    """Thompson's automaton of the regex with its epsilon moves contracted.
 
-    States are numbered in preorder: a node takes its start and end before
-    its children, and each child's subtree is numbered before the next
-    child's.  The tree is walked with an explicit stack, so its depth is
-    not bounded by the interpreter's recursion limit.
+    Thompson's construction gives the node of preorder number i a start
+    state 2i and an end state 2i + 1, joined to its parts by epsilon moves.
+    Two rules then merge states along epsilon moves until neither fires,
+    and an epsilon self-loop left over is dropped:
+
+    1. a non-final state whose only move out is one epsilon move merges
+       into that move's target, which becomes initial if the state was;
+    2. a non-initial state whose only move in is one epsilon move merges
+       into that move's source, which becomes final if the state was.
+
+    Neither changes the language: the first state adds no move and no
+    acceptance to its target, and the second is entered only from its
+    source.  No transition is added, so the automaton stays linear in the
+    regex.  The moves that always contract are never made: each node is
+    built between two given states, so concatenation and union add no
+    move, and only a star (into and out of its loop state) and the empty
+    word add epsilon moves, which a worklist then contracts as far as the
+    rules allow.  The surviving states are numbered 0..k-1 in
+    the order of the smallest Thompson number each stands for, so the
+    initial state is 0.  The tree is walked with an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
-    # number the nodes in preorder: (node, start, end, child positions)
-    nodes: list[tuple] = []
-    stack = [(r, None)]
-    while stack:
-        node, parent = stack.pop()
-        if parent is not None:
-            nodes[parent][3].append(len(nodes))
-        nodes.append((node, 2 * len(nodes), 2 * len(nodes) + 1, []))
-        children = lang.regex_children(node)
-        stack.extend((child, len(nodes) - 1) for child in reversed(children))
-
+    low = [0, 1]  # per state, the smallest Thompson number it stands for
     transitions = []
-    for node, s, t, kids in nodes:
-        parts = [nodes[k][1:3] for k in kids]
-        if isinstance(node, lang.REpsilon):
-            transitions.append((s, None, t))
-        elif isinstance(node, lang.RLetter):
-            transitions.append((s, node.letter, t))
-        elif isinstance(node, lang.RConcat):
-            previous = s
-            for ps, pt in parts:
-                transitions.append((previous, None, ps))
-                previous = pt
-            transitions.append((previous, None, t))
+    letters = set()
+    stack = [(r, 0, 1, False)]  # (node, from, to, whether it names `to`)
+    number = 0  # the preorder number of the popped node
+    while stack:
+        node, p, q, names_q = stack.pop()
+        if names_q:  # q merges this node's end with the next part's start
+            low[q] = 2 * number + 1
+        if isinstance(node, lang.RLetter):
+            letters.add(node.letter)
+            transitions.append((p, node.letter, q))
+        elif isinstance(node, lang.RConcat) and node.parts:
+            ends = [p, *range(len(low), len(low) + len(node.parts) - 1), q]
+            low.extend(ends[1:-1])  # each is set when its part is popped
+            last = len(node.parts) - 1
+            stack.extend(
+                (part, ends[k], ends[k + 1], k < last)
+                for k, part in reversed(list(enumerate(node.parts)))
+            )
         elif isinstance(node, lang.RUnion):
-            for ps, pt in parts:
-                transitions.append((s, None, ps))
-                transitions.append((pt, None, t))
+            stack.extend((part, p, q, False) for part in reversed(node.parts))
         elif isinstance(node, lang.RStar):
-            (ps, pt), = parts
-            transitions.append((s, None, ps))
-            transitions.append((pt, None, s))
-            transitions.append((s, None, t))
+            loop = len(low)
+            low.append(2 * number)
+            transitions += [(p, None, loop), (loop, None, q)]
+            stack.append((node.inner, loop, loop, False))
+        elif isinstance(node, (lang.REpsilon, lang.RConcat)):  # reads nothing
+            if p != q:
+                transitions.append((p, None, q))
         elif not isinstance(node, lang.REmpty):
             raise TypeError(f"not a regex node: {node!r}")
-    # the root is numbered first
+        number += 1
+    return _contracted(low, transitions, frozenset(letters))
+
+
+def _contracted(low: list, transitions: list, alphabet: frozenset) -> EpsNFA:
+    """The built states, merged by the rules of `regex_to_epsnfa` when
+    an epsilon move is left, numbered in the order of `low`.  State 0 is
+    initial and state 1 final."""
+    states, final = range(len(low)), (1,)
+    if any(label is None for _, label, _ in transitions):
+        states, transitions, final = _merge_along_epsilons(low, transitions)
+    number = {s: k for k, s in enumerate(sorted(states, key=low.__getitem__))}
     return EpsNFA(
-        frozenset(range(2 * len(nodes))),
+        frozenset(range(len(number))),
         frozenset((0,)),
-        frozenset((1,)),
-        frozenset(transitions),
-        lang.regex_alphabet(r),
+        frozenset(number[s] for s in final),
+        frozenset((number[s], label, number[t]) for s, label, t in transitions),
+        alphabet,
     )
+
+
+def _merge_along_epsilons(low: list, transitions: list) -> tuple:
+    """Merge states by the two rules until neither fires; return the states
+    left, their moves and their final states, with `low` lowered to the
+    smallest key each stands for.  A state's moves are kept as dict keys,
+    in insertion order, so that the result does not depend on string
+    hashing.  A merge moves the moves of the state with fewer into the
+    other, and queues every state at their other ends, the kept state
+    included, to be checked again."""
+    out = [{} for _ in low]  # state -> {(label, target): None}
+    into = [{} for _ in low]  # state -> {(label, source): None}
+    for src, label, dst in transitions:
+        out[src][label, dst] = into[dst][label, src] = None
+    todo = list(range(len(low)))  # states a rule may fire at
+    initial = [False] * len(low)
+    final = [False] * len(low)
+    initial[0] = final[1] = True
+    alive = [True] * len(low)
+    while todo:
+        x = todo.pop()
+        if not alive[x]:
+            continue
+        y = None
+        if not final[x] and len(out[x]) == 1:
+            ((label, y),) = out[x]
+            y = y if label is None else None
+        if y is None and not initial[x] and len(into[x]) == 1:
+            ((label, y),) = into[x]
+            y = y if label is None else None
+        if y is None:
+            continue
+        keep, gone = x, y
+        if len(out[x]) + len(into[x]) < len(out[y]) + len(into[y]):
+            keep, gone = y, x
+        alive[gone] = False
+        initial[keep] = initial[keep] or initial[gone]
+        final[keep] = final[keep] or final[gone]
+        low[keep] = min(low[keep], low[gone])
+        for label, z in out[gone]:
+            if z == gone:  # a letter loop
+                z = keep
+            else:
+                del into[z][label, gone]
+                todo.append(z)
+            if label is not None or z != keep:  # epsilon loops go
+                out[keep][label, z] = into[z][label, keep] = None
+        for label, w in into[gone]:
+            if w != gone:
+                del out[w][label, gone]
+                if label is not None or w != keep:
+                    out[w][label, keep] = into[keep][label, w] = None
+                todo.append(w)
+    states = [s for s in range(len(low)) if alive[s]]
+    moves = [(s, label, t) for s in states for label, t in out[s]]
+    return states, moves, [s for s in states if final[s]]
 
 
 def words_to_nfa(words: Iterable[Word]) -> EpsNFA:

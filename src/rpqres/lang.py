@@ -15,6 +15,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -276,35 +277,30 @@ class _Token(NamedTuple):
     pos: int
 
 
+# a bracketed letter name, a run of stars, or any other non-space character
+_REGEX_TOKEN = re.compile(r"\[(?P<name>[^\]]*)\]|(?P<stars>\*+)|(?P<char>\S)")
+_CHAR_KINDS = {c: c for c in "()|"} | {"~": "epsilon", "∅": "empty", "0": "empty"}
+
+
 def _tokenize_regex(text: str) -> list[_Token]:
+    """Tokens of the dialect; a run of stars is one token at its first."""
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "[":
-            j = text.find("]", i + 1)
-            if j < 0:
-                raise InputError(f"regex: unterminated '[' at position {i}")
-            if j == i + 1:
+    for match in _REGEX_TOKEN.finditer(text):
+        i = match.start()
+        kind = match.lastgroup
+        if kind == "name":
+            if i + 2 == match.end():
                 raise InputError(f"regex: empty letter name at position {i}")
-            tokens.append(_Token("letter", text[i + 1 : j], i))
-            i = j + 1
-        elif c == "]":
-            raise InputError(f"regex: unmatched ']' at position {i}")
-        elif c in "()|*":
-            tokens.append(_Token(c, c, i))
-            i += 1
-        elif c == "~":
-            tokens.append(_Token("epsilon", c, i))
-            i += 1
-        elif c in "∅0":
-            tokens.append(_Token("empty", c, i))
-            i += 1
+            tokens.append(_Token("letter", match["name"], i))
+        elif kind == "stars":
+            tokens.append(_Token("*", "*", i))
         else:
-            tokens.append(_Token("letter", c, i))
-            i += 1
+            c = match["char"]
+            if c == "[":  # no ']' follows it
+                raise InputError(f"regex: unterminated '[' at position {i}")
+            if c == "]":
+                raise InputError(f"regex: unmatched ']' at position {i}")
+            tokens.append(_Token(_CHAR_KINDS.get(c, "letter"), c, i))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

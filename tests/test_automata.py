@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,21 +56,83 @@ def test_regex_acceptance():
 def test_regex_to_epsnfa_numbers_states_in_preorder():
     r = lang.RConcat((lang.RLetter("a"), lang.RStar(lang.RLetter("b"))))
     m = automata.regex_to_epsnfa(r)
-    # the concatenation takes 0 and 1, the letter 2 and 3, the star 4 and
-    # 5, its letter 6 and 7
-    assert (m.initial, m.final) == ({0}, {1})
-    assert m.transitions == {
-        (2, "a", 3), (6, "b", 7),
-        (0, None, 2), (3, None, 4), (5, None, 1),
-        (4, None, 6), (7, None, 4), (4, None, 5),
-    }
+    # Thompson numbers the concatenation 0 and 1, the letter a 2 and 3, the
+    # star 4 and 5, its letter 6 and 7; 0 and 2 merge into state 0, the
+    # rest into state 1
+    assert (m.states, m.initial, m.final) == ({0, 1}, {0}, {1})
+    assert m.transitions == {(0, "a", 1), (1, "b", 1)}
+    # a star beside an empty word keeps its epsilon moves: the union's
+    # start 0 and end 1 and the star's loop, which stands for 2
+    m = A("a*|~")
+    assert (m.states, m.initial, m.final) == ({0, 1, 2}, {0}, {1})
+    assert m.transitions == {(0, None, 1), (0, None, 2), (2, "a", 2), (2, None, 1)}
 
 
 def test_regex_to_epsnfa_deep_tree():
     m = automata.regex_to_epsnfa(lang.parse_regex("(" * 600 + "a" + "b)" * 600))
-    assert len(m.states) == 2 * 1201
+    assert len(m.states) == 602  # a chain; Thompson's has 2 * 1201
     assert accepts(m, wd("a" + "b" * 600))
     assert not accepts(m, wd("a" + "b" * 599))
+
+
+def _rule_fires(m):
+    """Whether one of the two contraction rules of `regex_to_epsnfa` still
+    applies, or an epsilon self-loop is left."""
+    out, into = {}, {}
+    for src, label, dst in m.transitions:
+        out.setdefault(src, []).append(label)
+        into.setdefault(dst, []).append(label)
+        if label is None and src == dst:
+            return True
+    return any(
+        (s not in m.final and out.get(s) == [None])
+        or (s not in m.initial and into.get(s) == [None])
+        for s in m.states
+    )
+
+
+def _python_regex(text):
+    return text.replace("~", "(?:)").replace("∅", "(?!)")
+
+
+def test_regex_automaton_matches_python_re():
+    # criterion 09's random regexes, as written and with every c leaf
+    # turned into the empty language
+    rng = random.Random(909)
+    words = [
+        "".join(p) for n in range(5) for p in itertools.product("abc", repeat=n)
+    ]
+    for _ in range(600):
+        text = _random_regex(rng, 4)
+        for variant in (text, text.replace("(c)", "(∅)")):
+            m = automaton_for(variant)
+            assert not _rule_fires(m), variant
+            assert m.initial == {0} and m.states == set(range(len(m.states)))
+            pattern = re.compile(_python_regex(variant))
+            for word in words:
+                assert accepts(m, tuple(word)) == bool(pattern.fullmatch(word)), (
+                    variant, word,
+                )
+
+
+def test_regex_automaton_contracts_every_epsilon_move():
+    for text in ("ab|bc|ca", "a(b|c)*d", "b(aa)*d", "ax*b|cxd"):
+        m = A(text)
+        assert all(label is not None for _, label, _ in m.transitions), text
+    # epsilon moves that only a merge makes parallel still contract
+    assert A("(~|~*)(a|a)").transitions == {(0, "a", 1)}
+
+
+@pytest.mark.parametrize("moves", [
+    # merging 3 into 2 leaves 4 one epsilon move in, after 4 was checked
+    [(0, "x", 2), (2, None, 3), (2, None, 4), (3, None, 4), (3, "y", 1), (4, "w", 1)],
+    # merging 2 into 3 leaves 4 one epsilon move out, after 4 was checked
+    [(0, "x", 4), (4, None, 2), (4, None, 3), (2, None, 3), (0, "z", 3), (3, "y", 1)],
+])
+def test_contraction_rechecks_the_states_a_merge_touches(moves):
+    m = automata._contracted(list(range(5)), moves, frozenset("wxyz"))
+    assert not _rule_fires(m)
+    assert is_equivalent(m, automata.make_nfa(range(5), [0], [1], moves))
 
 
 def test_words_to_nfa_exact():
@@ -135,6 +198,17 @@ def test_trim_preserves_language(text):
     for word in short_words:
         assert accepts(m, word) == accepts(t, word)
     assert is_equivalent(m, t)
+
+
+def test_trim_is_kept_on_the_automaton():
+    moves = [(0, "a", 1), (1, "b", 2), (0, "c", 3)]
+    m = automata.make_nfa(range(4), [0], [2], moves)
+    t = trim(m)
+    assert t.states == {0, 1, 2}
+    assert trim(m) is t and trim(t) is t
+    again = automata.make_nfa(range(4), [0], [2], moves)
+    assert again == m and hash(again) == hash(m) and repr(again) == repr(m)
+    assert trim(again) is not t and trim(again) == t
 
 
 def test_subset_and_equivalence():

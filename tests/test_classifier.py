@@ -167,14 +167,28 @@ def test_four_legged_search_finds_a_split_among_many_seeds():
 
 
 def test_four_legged_witness_checks_its_automaton():
+    # axb|cxd with an epsilon move into its final state
+    moves = [(0, "a", 1), (1, "x", 2), (2, "b", 3), (0, "c", 4), (4, "x", 5)]
+    moves += [(5, "d", 3), (3, None, 6)]
     with pytest.raises(InputError):
-        four_legged_witness(automaton_for("axb|cxd"))  # has epsilon moves
+        four_legged_witness(make_nfa(range(7), [0], [6], moves))
+    # the regex's own automaton is epsilon-free and deterministic
+    hit = four_legged_witness(automaton_for("axb|cxd"))
+    assert hit == ("x", ("a",), ("b",), ("c",), ("d",))
     # {ax, cxd} plus a dead state: the final state after ax may move, but
     # only into the dead state, so no leg follows it
     moves = [(0, "a", 1), (1, "x", 2), (2, "z", 6)]
     moves += [(0, "c", 3), (3, "x", 4), (4, "d", 5)]
     dfa = make_nfa(range(7), [0], [2, 5], moves)
     assert four_legged_witness(dfa) is None
+
+
+def test_classify_large_unions_under_a_star():
+    pairs = "(" + "|".join(f"[a{i}][b{i}]" for i in range(200)) + ")*"
+    letters = "x(" + "|".join(f"[a{i}]" for i in range(200)) + ")*y"
+    for text in (pairs, letters):
+        verdict = classify(text)
+        assert (verdict.status, verdict.method) == (PTIME, "local")
 
 
 def test_neutral_letter_verdict_survives_a_capped_search(monkeypatch):

@@ -192,6 +192,13 @@ def test_parse_regex_collapses_repeated_stars():
     assert lang.parse_regex("a" + "*" * 3000) == lang.RStar(lang.RLetter("a"))
 
 
+def test_regex_tokens_take_a_run_of_stars_at_once():
+    kinds = [t.kind for t in lang._tokenize_regex("a** [bc]")]
+    assert kinds == ["letter", "*", "letter", "end"]
+    with pytest.raises(InputError, match="expected an expression at position 1"):
+        lang.parse_regex("(***a)")
+
+
 def test_parse_regex_nesting_is_not_recursive():
     assert lang.parse_regex("(" * 600 + "a" + ")" * 600) == lang.RLetter("a")
     with pytest.raises(InputError, match="expected '\\)' at position 1200"):

@@ -113,6 +113,23 @@ def test_exact_matches_bruteforce_on_bags(spec):
         check_answer(db, spec, answer)
 
 
+@pytest.mark.parametrize("spec", ["ab|bc|ca", "ax*b|cxd", "b(aa)*d", "a(b|c)*d"])
+def test_exact_solver_searches_an_epsilon_free_product(spec):
+    rng = random.Random(f"epsilon-free {spec}")
+    A = automaton_for(spec)
+    letters = sorted(A.alphabet)
+    for _ in range(30):
+        db = random_db(rng, letters, max_facts=8, max_nodes=4, max_mult=3)
+        prod = graphdb.product(db, A)
+        assert all(fact >= 0 for arcs in prod.arcs for _, fact, _ in arcs)
+        exact = solvers.resilience(db, spec, solver="exact")
+        auto = solvers.resilience(db, spec)
+        assert exact.value == auto.value == oracles.brute_resilience(db, A), (
+            spec, db.entries,
+        )
+        check_answer(db, spec, exact)
+
+
 def test_exact_masks_reach_past_64_facts():
     db = GraphDB.from_facts(
         [Fact(f"u{i:02}", "b", f"v{i:02}") for i in range(70)]
