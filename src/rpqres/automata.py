@@ -6,6 +6,8 @@ languages, neutral letters, and aperiodicity.
 An EpsNFA is immutable; states are opaque hashable ids.  Its lookup
 tables, epsilon closures included, are built on first use and kept on the
 instance, so each automaton builds them once and drops them with itself.
+The analyses step through those closures (`Tables.start` and
+`Tables.after`) and never follow an epsilon move themselves.
 DFAs are the deterministic special case of the same type (one initial
 state, no epsilon transitions, at most one outgoing transition per state
 and letter).
@@ -19,7 +21,6 @@ language starts from the smaller automaton.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -37,10 +38,10 @@ Transition = tuple  # (src, label or None, dst)
 
 
 class Tables(NamedTuple):
-    """Lookup tables of one automaton."""
+    """Lookup tables of one automaton; only ``start`` and ``after`` see
+    its epsilon moves."""
 
-    by_letter: dict  # state -> {letter -> frozenset of targets}
-    eps: dict  # state -> frozenset of epsilon targets
+    by_letter: dict  # state -> {letter -> frozenset of targets}, no closure
     start: frozenset  # epsilon closure of the initial states
     after: dict  # state -> {letter -> epsilon closure of its letter targets}
 
@@ -112,7 +113,7 @@ def _build_tables(A: EpsNFA) -> Tables:
         for label, targets in moves.items():
             moves[label] = frozenset(targets)
     if not eps:
-        return Tables(by_letter, eps, A.initial, by_letter)
+        return Tables(by_letter, A.initial, by_letter)
     eps = {s: frozenset(targets) for s, targets in eps.items()}
     closures: dict = {}
 
@@ -129,7 +130,7 @@ def _build_tables(A: EpsNFA) -> Tables:
         }
         for src, moves in by_letter.items()
     }
-    return Tables(by_letter, eps, frozenset(reach(eps, A.initial)), after)
+    return Tables(by_letter, frozenset(reach(eps, A.initial)), after)
 
 
 def _union(parts) -> frozenset:
@@ -557,71 +558,28 @@ def automaton_for(spec) -> EpsNFA:
 # finiteness and word enumeration
 
 
-def _has_pumping_cycle(A: EpsNFA) -> bool:
-    """True iff some cycle through useful states reads at least one letter."""
-    T = trim(A)
-    index_of: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs = []
-    counter = itertools.count()
-    adjacency: dict = {}
-    for src, label, dst in T.transitions:
-        adjacency.setdefault(src, []).append(dst)
-
-    def strongconnect(root):
-        work = [(root, iter(adjacency.get(root, ())))]
-        index_of[root] = lowlink[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = next(counter)
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adjacency.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index_of[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    for state in T.states:
-        if state not in index_of:
-            strongconnect(state)
-
-    membership = {}
-    for i, component in enumerate(sccs):
-        for s in component:
-            membership[s] = i
-    # a letter transition inside a strongly connected component closes a
-    # cycle that reads at least one letter; epsilon-only cycles pump nothing
-    return any(
-        label is not None and membership[src] == membership[dst]
-        for src, label, dst in T.transitions
-    )
-
-
 def is_finite_language(A: EpsNFA) -> bool:
-    return not _has_pumping_cycle(A)
+    """Whether no cycle through useful states reads a letter.
+
+    Such a cycle is exactly a cycle of ``after`` steps among the states of
+    ``trim(A)`` (epsilon-only cycles pump nothing), so the states are
+    peeled in topological order of those steps, each once every step into
+    it has been counted; the language is finite iff every state is.
+    """
+    after = trim(A).tables.after
+    pending: dict = {}
+    for moves in after.values():
+        for targets in moves.values():
+            for t in targets:
+                pending[t] = pending.get(t, 0) + 1
+    peeled = [s for s in after if s not in pending]
+    for s in peeled:  # grows while iterating
+        for targets in after.get(s, _NO_MOVES).values():
+            for t in targets:
+                pending[t] -= 1
+                if not pending[t]:
+                    peeled.append(t)
+    return not any(pending.values())
 
 
 def language_words(
@@ -637,7 +595,7 @@ def language_words(
     """
     D = trim(A if is_deterministic(A) else determinize(A, state_cap))
     if max_len is None:
-        if _has_pumping_cycle(D):
+        if not is_finite_language(D):
             raise InputError("cannot enumerate an infinite language without a length cap")
         max_len = len(D.states)
     maps = D.tables

@@ -43,6 +43,20 @@ def _language(regex, words_path, automaton_path) -> automata.EpsNFA:
     return automata.parse_automaton(_read(automaton_path))
 
 
+def _language_and_db(args, words_path, automaton_path):
+    """The language and database of a ``[LANG] DB`` command line."""
+    if words_path is not None or automaton_path is not None:
+        if len(args) != 1:
+            raise InputError("expected one DB argument")
+        regex, db_path = None, args[0]
+    else:
+        if len(args) != 2:
+            raise InputError("expected LANG and DB arguments")
+        regex, db_path = args
+    A = _language(regex, words_path, automaton_path)
+    return A, graphdb.parse_db(_read(db_path))
+
+
 def _language_options(command):
     command = click.option(
         "--words", "words_path", metavar="FILE",
@@ -142,16 +156,7 @@ def _fact_triples(facts) -> list:
 @_reporting
 def resilience(args, words_path, automaton_path, semantics, solver, witness, as_json):
     """Resilience of LANG over the database DB (a file path, or -)."""
-    if words_path is not None or automaton_path is not None:
-        if len(args) != 1:
-            raise InputError("expected one DB argument")
-        regex, db_path = None, args[0]
-    else:
-        if len(args) != 2:
-            raise InputError("expected LANG and DB arguments")
-        regex, db_path = args
-    A = _language(regex, words_path, automaton_path)
-    db = graphdb.parse_db(_read(db_path))
+    A, db = _language_and_db(args, words_path, automaton_path)
     answer = solvers.resilience(db, A, semantics=semantics, solver=solver)
     infinite = isinstance(answer.value, float) and math.isinf(answer.value)
     if as_json:
@@ -251,16 +256,7 @@ def encode(graph_path, gadget_path):
 @_reporting
 def matches(args, words_path, automaton_path):
     """Enumerate the query matches of LANG over DB, one per line."""
-    if words_path is not None or automaton_path is not None:
-        if len(args) != 1:
-            raise InputError("expected one DB argument")
-        regex, db_path = None, args[0]
-    else:
-        if len(args) != 2:
-            raise InputError("expected LANG and DB arguments")
-        regex, db_path = args
-    A = _language(regex, words_path, automaton_path)
-    db = graphdb.parse_db(_read(db_path))
+    A, db = _language_and_db(args, words_path, automaton_path)
     words = automata.language_words(A)
     for match in graphdb.enumerate_matches(db, words):
         click.echo(" | ".join(f.render() for f in sorted(match.facts)))

@@ -164,11 +164,13 @@ class Product(NamedTuple):
 
     Pairs (node, state) are numbered from 0.  ``arcs[p]`` lists the moves
     out of pair ``p`` as ``(bit, fact, q)``: ``fact`` indexes ``facts`` (the
-    fact order of ``db.entries``) and ``bit`` is ``1 << fact``, or both are
-    0 and -1 for an epsilon move.  Only pairs that can reach a final pair
-    are kept, and final pairs keep no moves.  ``starts`` are the initial
-    pairs in search order.  ``accepts_empty`` marks an automaton accepting
-    the empty word, which every database satisfies.
+    fact order of ``db.entries``) and ``bit`` is ``1 << fact``.  Every move
+    reads a fact: a state steps through the automaton's ``after`` table,
+    epsilon closures included, so no automaton gives an epsilon move.
+    Only pairs that can reach a final pair are kept, and final pairs keep
+    no moves.  ``starts`` are the initial pairs in search order.
+    ``accepts_empty`` marks an automaton accepting the empty word, which
+    every database satisfies.
     """
 
     facts: tuple
@@ -182,9 +184,9 @@ def product(db: GraphDB, A: EpsNFA) -> Product:
     """Build the product that ``witness_walk`` searches.
 
     Moves are listed in the order of a breadth-first search over
-    ``(node, state)`` pairs: epsilon targets first, then the facts out of
-    the node in entry order, each with its automaton steps; states are
-    ordered by their text.
+    ``(node, state)`` pairs: the facts out of the node in entry order, each
+    with the states its label leads to, epsilon closure included; states
+    are ordered by their text.
     """
     facts = db.facts()
     maps = A.tables
@@ -214,9 +216,7 @@ def product(db: GraphDB, A: EpsNFA) -> Product:
     for node, state in pairs:  # grows while interning
         out = []
         if state not in A.final:
-            for target in sorted(maps.eps.get(state, ()), key=str):
-                out.append((-1, intern((node, target))))
-            steps = maps.by_letter.get(state, {})
+            steps = maps.after.get(state, {})
             for i in by_tail.get(node, ()):
                 fact = facts[i]
                 for target in sorted(steps.get(fact.label, ()), key=str):
@@ -231,10 +231,7 @@ def product(db: GraphDB, A: EpsNFA) -> Product:
     # renumber the useful pairs, keeping their order
     renumber = {p: k for k, p in enumerate(p for p in range(len(pairs)) if p in useful)}
     arcs = tuple(
-        tuple(
-            (0 if i < 0 else 1 << i, i, renumber[q])
-            for i, q in moves[p] if q in renumber
-        )
+        tuple((1 << i, i, renumber[q]) for i, q in moves[p] if q in renumber)
         for p in renumber
     )
     final = tuple(pairs[p][1] in A.final for p in renumber)
@@ -269,8 +266,7 @@ def witness_walk(prod: Product, removed: int = 0) -> Optional[tuple[Fact, ...]]:
                 walk = []
                 while parents[q] is not None:
                     q, fact = parents[q]
-                    if fact >= 0:
-                        walk.append(prod.facts[fact])
+                    walk.append(prod.facts[fact])
                 return tuple(reversed(walk))
             queue.append(q)
     return None

@@ -94,6 +94,18 @@ def accepts(A, word) -> bool:
     return bool(current & A.final)
 
 
+def brute_is_finite(A) -> bool:
+    """Whether L(A) is finite, by the pumping bound: with n states, the
+    language is infinite iff A accepts some word of length n to 2n - 1."""
+    n = len(A.states)
+    letters = sorted(A.alphabet)
+    return not any(
+        accepts(A, word)
+        for length in range(n, 2 * n)
+        for word in itertools.product(letters, repeat=length)
+    )
+
+
 def trim(A) -> Fields:
     """Keep the states reachable from an initial state and reaching a
     final one."""

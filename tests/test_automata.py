@@ -308,6 +308,35 @@ def test_is_finite_language():
     assert is_finite_language(loop)
 
 
+def test_is_finite_language_matches_the_pumping_bound():
+    rng = random.Random("finite language")
+    covered = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        transitions = {
+            (rng.randrange(n), rng.choice(("a", "b", None)), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))
+        }
+        p, q = rng.randrange(n), rng.randrange(n)
+        transitions |= {(p, None, q), (q, None, p)}  # pumps nothing
+        s = rng.randrange(n)
+        transitions.add((s, rng.choice("ab"), s))  # maybe dead or unreachable
+        initial = {rng.randrange(n) for _ in range(rng.randint(1, 2))}
+        final = {rng.randrange(n) for _ in range(rng.randint(1, 2))}
+        nfa = automata.make_nfa(range(n), initial, final, transitions, "ab")
+        finite = is_finite_language(nfa)
+        assert finite == oracles.brute_is_finite(nfa), (n, initial, final, transitions)
+        covered.add(finite)
+        useful = oracles.trim(nfa).states
+        if finite and p != q and {p, q} <= useful:
+            covered.add("epsilon-only cycle")
+        if finite and s not in useful:
+            covered.add("letter loop on a useless state")
+    assert covered == {
+        True, False, "epsilon-only cycle", "letter loop on a useless state"
+    }
+
+
 # ---------------------------------------------------------------------------
 # the read-once construction
 

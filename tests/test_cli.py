@@ -182,6 +182,30 @@ def test_matches_long_word(tmp_path):
     assert result.output.startswith("n0 a n1 | n1 a n2 |")
 
 
+@pytest.mark.parametrize("command", ["resilience", "matches"])
+def test_lang_db_argument_errors(tmp_path, command):
+    db, words = tmp_path / "pair.db", tmp_path / "ab.words"
+    write(db, "u a v\n")
+    write(words, "ab\n")
+    missing = str(tmp_path / "missing.db")
+    for args, message in (
+        ((str(db),), "expected LANG and DB arguments"),
+        (("ab", str(db), str(db)), "expected LANG and DB arguments"),
+        (("--words", str(words)), "expected one DB argument"),
+        (("--words", str(words), "ab", str(db)), "expected one DB argument"),
+        (("ab", missing), f"cannot read {missing}"),
+    ):
+        result = run(command, *args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {message}")
+        assert len(result.stderr.splitlines()) == 1
+    # the language is read before the database
+    result = run(command, "a(", missing)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and missing not in result.stderr
+
+
 def test_automaton_is_local():
     assert run("automaton", "--is-local", "ab|bc").output == "false\n"
     assert run("automaton", "--is-local", "ax*b").output == "true\n"

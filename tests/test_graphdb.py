@@ -181,8 +181,8 @@ def test_product_keeps_only_pairs_that_reach_a_final_pair():
     for p, arcs in enumerate(prod.arcs):
         for bit, fact, q in arcs:
             assert q in kept
-            assert bit == (0 if fact < 0 else 1 << fact)
-            assert fact < 0 or prod.facts[fact] != dead_end
+            assert bit == 1 << fact
+            assert prod.facts[fact] != dead_end
             pred.setdefault(q, []).append(p)
     finals = [p for p, final in enumerate(prod.final) if final]
     assert automata.reach(pred, finals) == kept

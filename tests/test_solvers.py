@@ -113,21 +113,57 @@ def test_exact_matches_bruteforce_on_bags(spec):
         check_answer(db, spec, answer)
 
 
-@pytest.mark.parametrize("spec", ["ab|bc|ca", "ax*b|cxd", "b(aa)*d", "a(b|c)*d"])
+# an epsilon cycle after a, an epsilon self-loop after b, and an epsilon
+# chain into the final state: a x* b c?
+EPSILON_MOVES_AUTOMATON = """
+states s0 s1 s2 s3 s4 f
+initial s0
+final f
+s0 a s1
+s1 EPS s2
+s2 EPS s1
+s2 x s1
+s1 b s3
+s3 EPS s3
+s3 c s4
+s3 EPS s4
+s4 EPS f
+"""
+
+
+def _spec_automaton(spec):
+    if spec == EPSILON_MOVES_AUTOMATON:
+        return automata.parse_automaton(spec)
+    return automaton_for(spec)
+
+
+def test_epsilon_free_product_inputs_keep_epsilon_moves():
+    for spec in ("e*be*ce*|e*de*fe*", EPSILON_MOVES_AUTOMATON):
+        A = _spec_automaton(spec)
+        assert any(label is None for _, label, _ in A.transitions)
+
+
+@pytest.mark.parametrize("spec", [
+    "ab|bc|ca", "ax*b|cxd", "b(aa)*d", "a(b|c)*d", "e*be*ce*|e*de*fe*",
+    pytest.param(EPSILON_MOVES_AUTOMATON, id="epsilon-moves-automaton"),
+])
 def test_exact_solver_searches_an_epsilon_free_product(spec):
     rng = random.Random(f"epsilon-free {spec}")
-    A = automaton_for(spec)
+    A = _spec_automaton(spec)
+    reduced = automata.reduce_regular(A)
     letters = sorted(A.alphabet)
     for _ in range(30):
         db = random_db(rng, letters, max_facts=8, max_nodes=4, max_mult=3)
         prod = graphdb.product(db, A)
-        assert all(fact >= 0 for arcs in prod.arcs for _, fact, _ in arcs)
-        exact = solvers.resilience(db, spec, solver="exact")
-        auto = solvers.resilience(db, spec)
-        assert exact.value == auto.value == oracles.brute_resilience(db, A), (
-            spec, db.entries,
-        )
-        check_answer(db, spec, exact)
+        assert all(bit == 1 << fact for arcs in prod.arcs for bit, fact, _ in arcs)
+        exact = solvers.resilience(db, A, solver="exact")
+        auto = solvers.resilience(db, A)
+        over_reduced = solvers.resilience_exact(db, reduced)
+        assert (
+            exact.value == auto.value == over_reduced.value
+            == oracles.brute_resilience(db, A)
+        ), (spec, db.entries)
+        check_answer(db, A, exact)
 
 
 def test_exact_masks_reach_past_64_facts():
