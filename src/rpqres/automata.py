@@ -16,7 +16,10 @@ Epsilon is represented by the label ``None`` in memory and by the reserved
 token ``EPS`` in the text format.  A regex becomes Thompson's automaton with
 its epsilon moves contracted (`regex_to_epsnfa`), which has about a third
 of the states and is most often epsilon-free, so every analysis of the
-language starts from the smaller automaton.
+language starts from the smaller automaton.  The read-once envelope
+(`eps_nfa_to_ro`) is minimised with the same two contraction rules after
+letters with the same followers share their states; it is kept on the
+automaton, with its tables, like the trim.
 """
 
 from __future__ import annotations
@@ -114,22 +117,21 @@ def _build_tables(A: EpsNFA) -> Tables:
             moves[label] = frozenset(targets)
     if not eps:
         return Tables(by_letter, A.initial, by_letter)
-    eps = {s: frozenset(targets) for s, targets in eps.items()}
-    closures: dict = {}
-
-    def closure(s):
-        found = closures.get(s)
-        if found is None:
-            found = closures[s] = frozenset(reach(eps, (s,)))
-        return found
-
-    after = {
-        src: {
-            label: _union([closure(t) for t in targets])
-            for label, targets in moves.items()
-        }
-        for src, moves in by_letter.items()
-    }
+    closures: dict = {}  # searched only for target sets an epsilon move leaves
+    after: dict = {}
+    for src, moves in by_letter.items():
+        row = after[src] = {}
+        for label, targets in moves.items():
+            if eps.keys().isdisjoint(targets):  # its own closure
+                row[label] = targets
+                continue
+            parts = []
+            for t in targets:
+                found = closures.get(t)
+                if found is None:
+                    found = closures[t] = frozenset(reach(eps, (t,)))
+                parts.append(found)
+            row[label] = _union(parts)
     return Tables(by_letter, frozenset(reach(eps, A.initial)), after)
 
 
@@ -625,59 +627,128 @@ def language_words(
 
 
 def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
-    """Build the read-once envelope of A.
+    """The minimal read-once envelope of A.
 
-    For each alphabet letter the result has one in-state and one out-state
-    joined by the only transition on that letter.  A letter pair (a, b) is
-    wired with an epsilon transition when some a-transition of the trimmed
-    input can be followed, after epsilon moves, by a b-transition.  Initial
-    letters are those readable first; final letters those readable last; an
-    isolated initial-final state is added exactly when the input accepts
-    the empty word.
+    Read the trimmed input for its first letters, its last letters and
+    the pairs (a, b) where some a-transition can be followed, after
+    epsilon moves, by a b-transition.  The envelope accepts a non-empty
+    word iff it starts with a first letter, ends with a last letter and
+    every two adjacent letters form a pair; it gets an isolated
+    initial-final state ``"empty-word"`` exactly when the input accepts
+    the empty word.  So it accepts every word the input accepts, and
+    exactly the same language iff that language is local.
 
-    The result accepts every word the input accepts, and accepts exactly
-    the same language iff that language is letter-Cartesian.
+    Letters with the same followers and the same lastness share one
+    out-state; letters with the same out-states before them and the same
+    firstness share one in-state.  Each letter labels exactly one
+    transition, from its in-state to its out-state, and an epsilon move
+    joins an out-state to the in-state of each of its followers.  Then,
+    in one simultaneous pass, a non-initial in-state entered by exactly
+    one epsilon move merges into that move's source, and a non-final
+    out-state whose only move is one epsilon move merges into that move's
+    target unless that target already merged into it.  Both are the exact
+    rules of `regex_to_epsnfa`.  Every epsilon move runs from an out-state
+    to an in-state, so no state is both entered and left by one, and
+    after the pass neither rule applies again.  Each state is named after
+    the smallest letter of its class, ``(a, "in")`` or ``(a, "out")``; a
+    merged state keeps the name of the state it merged into.  Letters
+    that no accepted word uses share one dead in-state and out-state.
+
+    The envelope is kept on A, outside the fields, so the locality test
+    and the local solver build it once.
     """
+    found = vars(A).get("_envelope")
+    if found is not None:
+        return found
     T = trim(A)
-    tables = T.tables
-    closure_initial = tables.start
-
-    sigma_start = set()
-    sigma_end = set()
-    pairs = set()
-    for src, moves in tables.after.items():
+    reads, start, after = T.tables
+    first = set()
+    last = set()
+    follow: dict = {}  # letter -> the letters that can come next
+    for src, moves in after.items():
         for label, reached in moves.items():
-            if src in closure_initial:
-                sigma_start.add(label)
+            if src in start:
+                first.add(label)
             if not reached.isdisjoint(T.final):
-                sigma_end.add(label)
+                last.add(label)
+            nxt = follow.get(label)
+            if nxt is None:
+                nxt = follow[label] = set()
             for r in reached:
-                for follow_label in tables.by_letter.get(r, _NO_MOVES):
-                    pairs.add((label, follow_label))
+                nxt.update(reads.get(r, _NO_MOVES))
 
-    accepts_epsilon = not closure_initial.isdisjoint(T.final)
+    letters = sorted(A.alphabet)  # the first letter of a class names it
+    out_state: dict = {}  # (followers, last) -> out-state
+    out_of = {}
+    for a in letters:
+        key = (frozenset(follow.get(a, ())), a in last)
+        x = out_state.get(key)
+        if x is None:
+            x = out_state[key] = (a, "out")
+        out_of[a] = x
+    before: dict = {}  # letter -> the out-states before it, in order
+    for (followers, _), x in out_state.items():
+        for b in followers:
+            before.setdefault(b, []).append(x)
+    in_state: dict = {}  # (out-states before, first) -> in-state
+    in_of = {}
+    for a in letters:
+        key = (tuple(before.get(a, ())), a in first)
+        y = in_state.get(key)
+        if y is None:
+            y = in_state[key] = (a, "in")
+        in_of[a] = y
 
-    states = set()
+    into = {}  # merged state -> the state it merged into
+    after_out: dict = {}  # out-state -> the in-states after it
+    initial = set()
+    for (sources, is_first), y in in_state.items():
+        if is_first:
+            initial.add(y)
+        elif len(sources) == 1:
+            into[y] = sources[0]
+        for x in sources:
+            after_out.setdefault(x, []).append(y)
+    final = set()
+    for (_, is_last), x in out_state.items():
+        if is_last:
+            final.add(x)
+        else:
+            targets = after_out.get(x)
+            if targets is not None and len(targets) == 1 and into.get(targets[0]) != x:
+                into[x] = targets[0]
     transitions = set()
-    for a in A.alphabet:
-        states.add((a, "in"))
-        states.add((a, "out"))
-        transitions.add(((a, "in"), a, (a, "out")))
-    for a, b in pairs:
-        transitions.add(((a, "out"), None, (b, "in")))
-    initial = {(a, "in") for a in sigma_start}
-    final = {(a, "out") for a in sigma_end}
-    if accepts_epsilon:
+    closure: dict = {}  # state -> itself and the states its epsilon moves enter
+    for x, targets in after_out.items():
+        x = into.get(x, x)
+        for y in targets:
+            y = into.get(y, y)
+            if x != y:
+                transitions.add((x, None, y))
+                closure.setdefault(x, [x]).append(y)
+    # The tables are built here: no state is both entered and left by an
+    # epsilon move, so each closure is one step and the initial states,
+    # which no epsilon move leaves, are their own.
+    by_letter: dict = {}
+    closed: dict = {}
+    for a in letters:
+        y, x = in_of[a], out_of[a]
+        y, x = into.get(y, y), into.get(x, x)
+        transitions.add((y, a, x))
+        by_letter.setdefault(y, {})[a] = frozenset((x,))
+        if closure:
+            closed.setdefault(y, {})[a] = frozenset(closure.get(x, (x,)))
+    states = set(in_state.values()).union(out_state.values()).difference(into)
+    if not start.isdisjoint(T.final):
         states.add("empty-word")
         initial.add("empty-word")
         final.add("empty-word")
-    return EpsNFA(
-        frozenset(states),
-        frozenset(initial),
-        frozenset(final),
-        frozenset(transitions),
-        A.alphabet,
+    initial = frozenset(initial)
+    found = vars(A)["_envelope"] = EpsNFA(
+        frozenset(states), initial, frozenset(final), frozenset(transitions), A.alphabet
     )
+    vars(found)["tables"] = Tables(by_letter, initial, closed if closure else by_letter)
+    return found
 
 
 def is_local_language(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:

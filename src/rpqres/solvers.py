@@ -287,16 +287,19 @@ def resilience_local(
 ) -> ResilienceAnswer:
     """Min-cut solver for local languages.
 
-    The network pairs database nodes with states of the read-once form of
-    the automaton.  Each fact yields one capacity-mult edge along the
-    unique transition carrying its label; epsilon transitions, source
-    attachments to initial states and target attachments from final
-    states are unbounded.  In the read-once form every epsilon transition
-    leads from a letter's out-state to a letter's in-state, so epsilon
-    moves never chain.  Cutting an edge set disconnecting source from
-    target is exactly removing a fact set that breaks every accepted walk.
-    Only pairs touched by a fact edge can lie on a source-target path, so
-    no others are built.
+    The network pairs database nodes with states of the minimal read-once
+    envelope of the automaton, built once and kept on it, so a call on
+    the reduced DFA that the classifier tested reuses that build.  Each
+    fact yields one capacity-mult edge along the unique transition
+    carrying its label; epsilon transitions, source attachments to initial
+    states and target attachments from final states are unbounded.
+    Letters with the same followers share their states, so for ``ax*b``
+    each node gets one vertex and there is no epsilon transition; in
+    general no state is both entered and left by one, so epsilon moves
+    never chain.  Cutting an edge set disconnecting source from target is
+    exactly removing a fact set that breaks every accepted walk.  Only
+    pairs touched by a fact edge can lie on a source-target path, so no
+    others are built.
     """
     A = automata.automaton_for(language)
     if automata.accepts(A, ()):

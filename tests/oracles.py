@@ -194,6 +194,41 @@ def reference_reduce(A) -> Fields:
     return trim(Fields(*subset_construction(_intersect(A, outside))))
 
 
+def reference_envelope(A) -> Fields:
+    """The read-once envelope built the long way, one in-state and one
+    out-state per letter.  Each letter joins its own two states; an epsilon
+    move runs from a's out-state to b's in-state whenever, in the trimmed
+    automaton, some a-transition can be followed after epsilon moves by a
+    b-transition.  Letters readable first start at their in-states, letters
+    readable last end at their out-states, and an isolated initial-final
+    state accepts the empty word when A does."""
+    T = trim(A)
+    eps = _eps_targets(T.transitions)
+    start = _closure(eps, T.initial)
+    states = {(a, "in") for a in A.alphabet} | {(a, "out") for a in A.alphabet}
+    transitions = {((a, "in"), a, (a, "out")) for a in A.alphabet}
+    initial, final = set(), set()
+    for src, label, dst in T.transitions:
+        if label is None:
+            continue
+        reached = _closure(eps, {dst})
+        if src in start:
+            initial.add((label, "in"))
+        if reached & T.final:
+            final.add((label, "out"))
+        for r, follow, _ in T.transitions:
+            if r in reached and follow is not None:
+                transitions.add(((label, "out"), None, (follow, "in")))
+    if start & T.final:
+        states.add("empty-word")
+        initial.add("empty-word")
+        final.add("empty-word")
+    return Fields(
+        frozenset(states), frozenset(initial), frozenset(final),
+        frozenset(transitions), A.alphabet,
+    )
+
+
 def included(A, B) -> bool:
     """Whether L(A) is a subset of L(B).
 

@@ -369,6 +369,77 @@ def test_local_language_detection():
     assert is_local_language(A("ab|ad|cd"))
 
 
+# the fixed languages of the benchmark's lang-small workload
+LANG_SMALL_FIXED = (
+    "ax*b", "a(b|c)*d", "a|ab", "a|b", "aa|a", "ab|ad|cd", "abc|abd", "ab|c",
+    "abc|d", "ab|bc", "axb|byc", "ab|bc|cd", "abc|cd", "abc|be", "abcd|ce",
+    "aa", "aaa", "aaaa", "abca|cab", "axb|cxd", "b(aa)*d", "ax*b|cxd",
+    "ab|bc|ca", "abc|be|ef", "abcd|bef", "abcd|be|ef", "e*be*ce*|e*de*fe*",
+    "abc|bcd", "abcd|be", "abc|bef", "ax*b|xd",
+)
+
+
+def _envelope_inputs():
+    """Criterion 09's random regexes, the lang-small languages, and random
+    finite word sets, some over a letter that no word uses."""
+    rng = random.Random(909)
+    for _ in range(600):
+        yield A(_random_regex(rng, 4))
+    for text in LANG_SMALL_FIXED:
+        yield A(text)
+    rng = random.Random(19)
+    for _ in range(150):
+        words = {
+            tuple(rng.choice("abc") for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 5))
+        }
+        m = words_to_nfa(words)
+        yield automata.EpsNFA(m.states, m.initial, m.final, m.transitions, frozenset("abcd"))
+
+
+def test_envelope_is_the_reference_envelope_minimised():
+    inputs = 0
+    for m in _envelope_inputs():
+        inputs += 1
+        ro = eps_nfa_to_ro(m)
+        reference = automata.EpsNFA(*oracles.reference_envelope(m))
+        assert is_equivalent(ro, reference), m
+        assert oracles.included(ro, reference) and oracles.included(reference, ro)
+        labels = sorted(label for _, label, _ in ro.transitions if label is not None)
+        assert labels == sorted(m.alphabet), m  # each letter labels one transition
+        entered = {dst for _, label, dst in ro.transitions if label is None}
+        left = {src for src, label, _ in ro.transitions if label is None}
+        assert not entered & left, m
+        assert not _rule_fires(trim(ro)), m
+        assert len(ro.states) <= len(reference.states)
+        assert is_local_language(m) == is_equivalent(m, reference), m
+        # the tables the construction hands the envelope are its own
+        assert ro.tables == automata._build_tables(ro), m
+        assert eps_nfa_to_ro(m) is ro
+    assert inputs == 600 + len(LANG_SMALL_FIXED) + 150
+
+
+def test_envelope_merges_letters_with_the_same_followers():
+    for text in ("ax*b", "a(b|c)*d"):
+        ro = eps_nfa_to_ro(A(text))
+        assert len(ro.states) == 3, text
+        assert all(label is not None for _, label, _ in ro.transitions), text
+    assert eps_nfa_to_ro(A("ax*b")).transitions == {
+        (("a", "in"), "a", ("a", "out")),
+        (("a", "out"), "x", ("a", "out")),
+        (("a", "out"), "b", ("b", "out")),
+    }
+    # d follows a and c, but b follows only a: one epsilon move is left
+    ro = eps_nfa_to_ro(A("ab|ad|cd"))
+    assert [t for t in ro.transitions if t[1] is None] == [
+        (("a", "out"), None, ("d", "in"))
+    ]
+    # a letter no accepted word uses keeps its transition, on dead states
+    ro = eps_nfa_to_ro(automata.make_nfa({0, 1}, {0}, {1}, {(0, "a", 1)}, "az"))
+    assert (("z", "in"), "z", ("z", "out")) in ro.transitions
+    assert trim(ro).alphabet == {"a", "z"} and len(trim(ro).states) == 2
+
+
 def test_letter_cartesian_finite_matches_bruteforce():
     for text in ("ab|bc", "ab|ad|cd", "abc|abd", "a|b", "abca|cab"):
         words = frozenset(language_words(A(text)))

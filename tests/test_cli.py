@@ -225,6 +225,34 @@ def test_automaton_to_ro_parses_back():
     assert local.output == "true\n"
 
 
+def test_automaton_to_ro_output():
+    # a and x have the same followers, so they share one out-state, which
+    # the in-state of x and b merges into: three states, no EPS line
+    result = run("automaton", "--to-ro", "ax*b")
+    assert result.exit_code == 0
+    assert result.output == (
+        "states a.in a.out b.out\ninitial a.in\nfinal b.out\n"
+        "a.in\ta\ta.out\na.out\tb\tb.out\na.out\tx\ta.out\n"
+    )
+
+
+def test_automaton_to_ro_ignores_hash_seeds():
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    for regex in ("ax*b", "ab|ad|cd", "ab|bc|ca", "(ab)*c|a*"):
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "rpqres.cli", "automaton", "--to-ro",
+                 regex],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == run(
+            "automaton", "--to-ro", regex
+        ).output.encode()
+
+
 def test_automaton_reduce_roundtrip():
     reduced = run("automaton", "--reduce", "a|ab|ba")
     assert reduced.exit_code == 0

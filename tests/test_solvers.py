@@ -379,6 +379,38 @@ def test_local_matches_exact():
             check_answer(db, spec, got)
 
 
+def test_local_matches_brute_force_under_both_semantics():
+    # envelopes whose letter states merge (a(b|c)*d, ab*, a|ab, abc|abd,
+    # (ab)*c) or keep an epsilon move (ab|ad|cd)
+    rng = random.Random(19)
+    for spec in ("a(b|c)*d", "ab*", "a|ab", "abc|abd", "(ab)*c", "ab|ad|cd"):
+        A = automaton_for(spec)
+        for _ in range(12):
+            db = random_db(rng, sorted(A.alphabet), max_facts=7, max_nodes=4)
+            for semantics in ("bag", "set"):
+                target = db if semantics == "bag" else db.with_unit_multiplicities()
+                got = solvers.resilience_local(target, spec)
+                assert got.value == oracles.brute_resilience(target, A), (spec, db.entries)
+                check_answer(target, spec, got)
+                auto = solvers.resilience(db, spec, semantics=semantics)
+                assert (auto.value, auto.method) == (got.value, "local")
+
+
+def test_resilience_builds_the_envelope_once(monkeypatch):
+    built = []
+    real = automata.eps_nfa_to_ro
+
+    def counting(A):
+        if "_envelope" not in vars(A):
+            built.append(A)
+        return real(A)
+
+    monkeypatch.setattr(automata, "eps_nfa_to_ro", counting)
+    db = graphdb.parse_db("u a v\nv x w\nw b z\n")
+    assert solvers.resilience(db, "ax*b").value == 1
+    assert len(built) == 1  # the locality test's, read again by the solver
+
+
 def chain_text(length, low_at):
     """An a x...x b chain whose multiplicities are all above 3 except for
     the fact at position low_at, which has 3."""
@@ -562,10 +594,11 @@ def test_axb_network_size_is_pinned(monkeypatch):
     assert (answer.value, answer.method) == (1, "local")
     [net] = networks
     vertices = {net.source, net.target} | {v for e in net.edges for v in e[:2]}
-    # five facts lie on an accepted walk and six epsilon moves join them;
-    # the a fact's tail is the source and the b facts' heads are the target,
-    # leaving seven other vertices (unmerged: 12 vertices and 14 edges)
-    assert (len(vertices), len(net.edges)) == (9, 11)
+    # the envelope of ax*b has one state after a and x, so five facts lie
+    # on an accepted walk with no epsilon move between them; the a fact's
+    # tail is the source and the b facts' heads are the target, leaving
+    # the x facts' two ends (unmerged: 7 vertices and 8 edges)
+    assert (len(vertices), len(net.edges)) == (4, 5)
 
 
 def test_databases_are_not_kept_alive():
