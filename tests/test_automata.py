@@ -353,7 +353,8 @@ def test_ro_overapproximates():
     m = A("ab|bc")
     ro = eps_nfa_to_ro(m)
     assert is_subset(m, ro)
-    # abc takes a's in-out then b's then c's: present in the closure
+    # abc starts with a first letter, ends with a last one, and ab and bc are
+    # both pairs of adjacent letters, so the envelope accepts it
     assert accepts(ro, wd("abc"))
     assert not accepts(m, wd("abc"))
 
