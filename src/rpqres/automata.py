@@ -19,7 +19,7 @@ of the states and is most often epsilon-free, so every analysis of the
 language starts from the smaller automaton.  The read-once envelope
 (`eps_nfa_to_ro`) is minimised with the same two contraction rules after
 letters with the same followers share their states; it is kept on the
-automaton, with its tables, like the trim.
+automaton, like the trim.
 """
 
 from __future__ import annotations
@@ -117,21 +117,22 @@ def _build_tables(A: EpsNFA) -> Tables:
             moves[label] = frozenset(targets)
     if not eps:
         return Tables(by_letter, A.initial, by_letter)
-    closures: dict = {}  # searched only for target sets an epsilon move leaves
-    after: dict = {}
-    for src, moves in by_letter.items():
-        row = after[src] = {}
-        for label, targets in moves.items():
-            if eps.keys().isdisjoint(targets):  # its own closure
-                row[label] = targets
-                continue
-            parts = []
-            for t in targets:
-                found = closures.get(t)
-                if found is None:
-                    found = closures[t] = frozenset(reach(eps, (t,)))
-                parts.append(found)
-            row[label] = _union(parts)
+    eps = {s: frozenset(targets) for s, targets in eps.items()}
+    closures: dict = {}
+
+    def closure(s):
+        found = closures.get(s)
+        if found is None:
+            found = closures[s] = frozenset(reach(eps, (s,)))
+        return found
+
+    after = {
+        src: {
+            label: _union([closure(t) for t in targets])
+            for label, targets in moves.items()
+        }
+        for src, moves in by_letter.items()
+    }
     return Tables(by_letter, frozenset(reach(eps, A.initial)), after)
 
 
@@ -718,36 +719,27 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
             if targets is not None and len(targets) == 1 and into.get(targets[0]) != x:
                 into[x] = targets[0]
     transitions = set()
-    closure: dict = {}  # state -> itself and the states its epsilon moves enter
     for x, targets in after_out.items():
         x = into.get(x, x)
         for y in targets:
             y = into.get(y, y)
             if x != y:
                 transitions.add((x, None, y))
-                closure.setdefault(x, [x]).append(y)
-    # The tables are built here: no state is both entered and left by an
-    # epsilon move, so each closure is one step and the initial states,
-    # which no epsilon move leaves, are their own.
-    by_letter: dict = {}
-    closed: dict = {}
     for a in letters:
         y, x = in_of[a], out_of[a]
-        y, x = into.get(y, y), into.get(x, x)
-        transitions.add((y, a, x))
-        by_letter.setdefault(y, {})[a] = frozenset((x,))
-        if closure:
-            closed.setdefault(y, {})[a] = frozenset(closure.get(x, (x,)))
+        transitions.add((into.get(y, y), a, into.get(x, x)))
     states = set(in_state.values()).union(out_state.values()).difference(into)
     if not start.isdisjoint(T.final):
         states.add("empty-word")
         initial.add("empty-word")
         final.add("empty-word")
-    initial = frozenset(initial)
     found = vars(A)["_envelope"] = EpsNFA(
-        frozenset(states), initial, frozenset(final), frozenset(transitions), A.alphabet
+        frozenset(states),
+        frozenset(initial),
+        frozenset(final),
+        frozenset(transitions),
+        A.alphabet,
     )
-    vars(found)["tables"] = Tables(by_letter, initial, closed if closure else by_letter)
     return found
 
 
