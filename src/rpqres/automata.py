@@ -4,13 +4,14 @@ inclusion, the read-once construction, locality, reduction of regular
 languages, neutral letters, and aperiodicity.
 
 An EpsNFA is immutable; states are opaque hashable ids.  Its lookup
-tables, epsilon closures included, are built on first use and kept on the
-instance, so each automaton builds them once and drops them with itself.
-The analyses step through those closures (`Tables.start` and
-`Tables.after`) and never follow an epsilon move themselves.
-DFAs are the deterministic special case of the same type (one initial
-state, no epsilon transitions, at most one outgoing transition per state
-and letter).
+tables are built on first use and kept on the instance, so each automaton
+builds them once and drops them with itself.  They hold only epsilon
+closures (`Tables.start` and `Tables.after`), so the analyses never follow
+an epsilon move themselves.  DFAs are the deterministic special case of
+the same type (one initial state, no epsilon transitions, at most one
+outgoing transition per state and letter); there ``after`` is the
+transition function.  `minimize` always determinizes first, and the
+neutral letters are read off the minimal DFA (`neutral_letters`).
 
 Epsilon is represented by the label ``None`` in memory and by the reserved
 token ``EPS`` in the text format.  A regex becomes Thompson's automaton with
@@ -37,14 +38,11 @@ EPS = None
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_MONOID_CAP = 100_000
 
-Transition = tuple  # (src, label or None, dst)
-
-
 class Tables(NamedTuple):
-    """Lookup tables of one automaton; only ``start`` and ``after`` see
-    its epsilon moves."""
+    """Lookup tables of one automaton, read through its epsilon moves.  In
+    a DFA ``after`` holds each state's one target per letter, as a
+    singleton."""
 
-    by_letter: dict  # state -> {letter -> frozenset of targets}, no closure
     start: frozenset  # epsilon closure of the initial states
     after: dict  # state -> {letter -> epsilon closure of its letter targets}
 
@@ -116,7 +114,7 @@ def _build_tables(A: EpsNFA) -> Tables:
         for label, targets in moves.items():
             moves[label] = frozenset(targets)
     if not eps:
-        return Tables(by_letter, A.initial, by_letter)
+        return Tables(A.initial, by_letter)
     eps = {s: frozenset(targets) for s, targets in eps.items()}
     closures: dict = {}
 
@@ -133,7 +131,7 @@ def _build_tables(A: EpsNFA) -> Tables:
         }
         for src, moves in by_letter.items()
     }
-    return Tables(by_letter, frozenset(reach(eps, A.initial)), after)
+    return Tables(frozenset(reach(eps, A.initial)), after)
 
 
 def _union(parts) -> frozenset:
@@ -252,35 +250,6 @@ def determinize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
     )
 
 
-def _fresh_id(existing, base: str):
-    candidate = base
-    while candidate in existing:
-        candidate = candidate + "'"
-    return candidate
-
-
-def _complete(A: EpsNFA, alphabet: frozenset) -> EpsNFA:
-    """Make a DFA total over the given alphabet, adding a sink if needed."""
-    if not is_deterministic(A):
-        raise InputError("completion requires a deterministic automaton")
-    maps = A.tables
-    missing = [
-        (s, a)
-        for s in A.states
-        for a in alphabet
-        if a not in maps.by_letter.get(s, {})
-    ]
-    if not missing and A.states:
-        return EpsNFA(A.states, A.initial, A.final, A.transitions, alphabet)
-    sink = _fresh_id(A.states, "sink")
-    transitions = set(A.transitions)
-    transitions.update((s, a, sink) for s, a in missing)
-    transitions.update((sink, a, sink) for a in alphabet)
-    states = A.states | {sink}
-    initial = A.initial or frozenset((sink,))
-    return EpsNFA(states, initial, A.final, frozenset(transitions), alphabet)
-
-
 def is_subset(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether L(A) is included in L(B).
 
@@ -326,53 +295,32 @@ def is_equivalent(A: EpsNFA, B: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> b
 
 
 def minimize(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
-    """Minimal complete DFA, by partition refinement on reachable states."""
-    if not is_deterministic(A):
-        A = determinize(A, state_cap)
-    A = _complete(A, A.alphabet)
-    letters = sorted(A.alphabet)
-    maps = A.tables
-
-    def delta(s, a):
-        (target,) = maps.by_letter[s][a]
-        return target
-
-    (start,) = A.initial
-    order = [start]
-    seen = {start}
-    for s in order:
-        for a in letters:
-            t = delta(s, a)
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-
-    block = {s: (1 if s in A.final else 0) for s in order}
+    """Minimal complete DFA over A's alphabet, by partition refinement on
+    the states of `determinize(A)`, which are complete, all reachable and
+    numbered breadth first.  Each round numbers the blocks in the order of
+    their smallest state, so the initial state is 0.  The state cap counts
+    the subsets of the determinization, even when A is already a DFA."""
+    D = determinize(A, state_cap)
+    letters = sorted(D.alphabet)
+    after = D.tables.after
+    delta = [[t for a in letters for t in after[s][a]] for s in sorted(D.states)]
+    block = [1 if s in D.final else 0 for s in range(len(delta))]
     while True:
-        signatures = {}
-        new_block = {}
-        for s in order:
-            sig = (block[s], tuple(block[delta(s, a)] for a in letters))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[s] = signatures[sig]
+        signatures: dict = {}  # (block, the targets' blocks) -> new block
+        new_block = [
+            signatures.setdefault((block[s], tuple(map(block.__getitem__, row))),
+                                  len(signatures))
+            for s, row in enumerate(delta)
+        ]
         if new_block == block:
             break
         block = new_block
-
-    count = len(set(block.values()))
-    transitions = set()
-    final = set()
-    for s in order:
-        for a in letters:
-            transitions.add((block[s], a, block[delta(s, a)]))
-        if s in A.final:
-            final.add(block[s])
     return EpsNFA(
-        frozenset(range(count)),
-        frozenset((block[start],)),
-        frozenset(final),
-        frozenset(transitions),
+        frozenset(range(len(signatures))),
+        frozenset((0,)),
+        frozenset(block[s] for s in D.final),
+        frozenset((block[s], a, block[t]) for s, row in enumerate(delta)
+                  for a, t in zip(letters, row)),
         A.alphabet,
     )
 
@@ -601,7 +549,7 @@ def language_words(
         if not is_finite_language(D):
             raise InputError("cannot enumerate an infinite language without a length cap")
         max_len = len(D.states)
-    maps = D.tables
+    after = D.tables.after
     words = []
     frontier = [((), s) for s in D.initial]
     length = 0
@@ -615,7 +563,7 @@ def language_words(
                         f"word enumeration exceeded the {max_words}-word cap"
                     )
             if length < max_len:
-                for letter, targets in maps.by_letter.get(state, {}).items():
+                for letter, targets in after.get(state, _NO_MOVES).items():
                     for t in targets:
                         next_frontier.append((word + (letter,), t))
         frontier = next_frontier
@@ -662,7 +610,7 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
     if found is not None:
         return found
     T = trim(A)
-    reads, start, after = T.tables
+    start, after = T.tables
     first = set()
     last = set()
     follow: dict = {}  # letter -> the letters that can come next
@@ -676,7 +624,7 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
             if nxt is None:
                 nxt = follow[label] = set()
             for r in reached:
-                nxt.update(reads.get(r, _NO_MOVES))
+                nxt.update(after.get(r, _NO_MOVES))
 
     letters = sorted(A.alphabet)  # the first letter of a class names it
     out_state: dict = {}  # (followers, last) -> out-state
@@ -810,21 +758,18 @@ def reduce_regular(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> EpsNFA:
 # neutral letters
 
 
-def _phased(A: EpsNFA, bridges: Iterable[Transition]) -> EpsNFA:
-    """Two copies of A (phase 0 and 1) plus the given bridge transitions,
-    which must go from phase 0 states to phase 1 states."""
-    transitions = set()
-    for src, label, dst in A.transitions:
-        transitions.add(((src, 0), label, (dst, 0)))
-        transitions.add(((src, 1), label, (dst, 1)))
-    transitions.update(bridges)
-    states = {(s, phase) for s in A.states for phase in (0, 1)}
-    return EpsNFA(
-        frozenset(states),
-        frozenset((s, 0) for s in A.initial),
-        frozenset((s, 1) for s in A.final),
-        frozenset(transitions),
-        A.alphabet,
+def neutral_letters(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> frozenset:
+    """The neutral letters of L(A) among A's alphabet.
+
+    A letter e is neutral when inserting or deleting one occurrence of it
+    anywhere never changes membership, that is when u and ue are
+    Nerode-equivalent for every word u.  Every state of the minimal DFA is
+    reachable, so e is neutral iff every state of it loops on e.
+    """
+    D = minimize(A, state_cap)
+    after = D.tables.after
+    return frozenset(
+        a for a in D.alphabet if all(after[s][a] == {s} for s in D.states)
     )
 
 
@@ -832,21 +777,11 @@ def is_neutral_letter(
     A: EpsNFA, letter: str, state_cap: int = DEFAULT_STATE_CAP
 ) -> bool:
     """Whether inserting or deleting one occurrence of the letter anywhere
-    never changes membership in L(A)."""
-    insert_one = _phased(
-        A, (((s, 0), letter, (s, 1)) for s in A.states)
-    )
-    if not is_subset(insert_one, A, state_cap):
-        return False
-    delete_one = _phased(
-        A,
-        (
-            ((src, 0), None, (dst, 1))
-            for src, label, dst in A.transitions
-            if label == letter
-        ),
-    )
-    return is_subset(delete_one, A, state_cap)
+    never changes membership in L(A).  A letter outside A's alphabet is
+    neutral iff the language is empty."""
+    if letter not in A.alphabet:
+        A = EpsNFA(A.states, A.initial, A.final, A.transitions, A.alphabet | {letter})
+    return letter in neutral_letters(A, state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -863,13 +798,13 @@ def non_aperiodic_witness(
     D = minimize(trim(A), state_cap)
     order = sorted(D.states)
     index = {s: i for i, s in enumerate(order)}
-    maps = D.tables
+    after = D.tables.after
     letters = sorted(D.alphabet)
 
     def letter_map(a):
         out = []
         for s in order:
-            (t,) = maps.by_letter[s][a]
+            (t,) = after[s][a]
             out.append(index[t])
         return tuple(out)
 

@@ -95,7 +95,7 @@ def four_legged_witness(
     D = automata.trim(D)
     if D.initial and not automata.is_deterministic(D):
         raise InputError("four-legged detection requires a deterministic automaton")
-    delta = {s: {a: t for a, (t,) in m.items()} for s, m in D.tables.by_letter.items()}
+    delta = {s: {a: t for a, (t,) in m.items()} for s, m in D.tables.after.items()}
     by_letter: dict = {}  # x -> {p = δ(q0, αx): α}
     prefixes = _shortest_words(delta, *D.initial) if D.initial else {}
     for state, alpha in prefixes.items():
@@ -383,8 +383,7 @@ def _infinite_verdict(
         }
         return Verdict(NP_HARD, None, "not aperiodic", witness)
 
-    neutral = next((a for a in sorted(A.alphabet)
-                    if automata.is_neutral_letter(A, a, state_cap)), None)
+    neutral = min(automata.neutral_letters(A, state_cap), default=None)
     try:
         legs = four_legged_witness(reduced, state_cap)
     except ResourceCapError:

@@ -131,26 +131,25 @@ class CondensationResult:
 
 
 def _edge_domination(vertices, edges, steps) -> frozenset:
-    """Drop strict-superset hyperedges one at a time, recording steps."""
-    current = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(current, key=sorted):
-            witness = next(
-                (o for o in sorted(current, key=sorted) if o < e), None
-            )
-            if witness is not None:
-                before = frozenset(current)
-                current.remove(e)
-                steps.append(
-                    CondensationStep(
-                        "edge-domination", e, witness,
-                        vertices, before, vertices, frozenset(current),
-                    )
+    """Drop strict-superset hyperedges one at a time, recording steps.
+
+    A minimal edge is never dropped, so every other edge keeps a strict
+    subset to the end: one pass in sorted order drops exactly the
+    non-minimal edges, each against the first strict subset still held.
+    """
+    ordered = sorted(edges, key=sorted)
+    current = set(ordered)
+    for e in ordered:
+        witness = next((o for o in ordered if o < e and o in current), None)
+        if witness is not None:
+            before = frozenset(current)
+            current.remove(e)
+            steps.append(
+                CondensationStep(
+                    "edge-domination", e, witness,
+                    vertices, before, vertices, frozenset(current),
                 )
-                changed = True
-                break
+            )
     return frozenset(current)
 
 

@@ -260,17 +260,6 @@ def _regex_fold(r: Regex, combine):
     return values[0]
 
 
-def regex_alphabet(r: Regex) -> frozenset[str]:
-    letters = set()
-    stack = [r]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, RLetter):
-            letters.add(node.letter)
-        stack.extend(regex_children(node))
-    return frozenset(letters)
-
-
 class _Token(NamedTuple):
     kind: str
     value: str

@@ -261,6 +261,53 @@ def included(A, B) -> bool:
     return True
 
 
+def _phased(A, bridges, alphabet) -> Fields:
+    """Two copies of A (phase 0 and 1) plus the given bridge transitions,
+    which go from phase 0 states to phase 1 states; a word is accepted
+    when it starts in phase 0 and ends in phase 1."""
+    transitions = set(bridges)
+    for src, label, dst in A.transitions:
+        transitions.add(((src, 0), label, (dst, 0)))
+        transitions.add(((src, 1), label, (dst, 1)))
+    return Fields(
+        frozenset((s, phase) for s in A.states for phase in (0, 1)),
+        frozenset((s, 0) for s in A.initial),
+        frozenset((s, 1) for s in A.final),
+        frozenset(transitions), frozenset(A.alphabet) | frozenset(alphabet),
+    )
+
+
+def reference_neutral_letter(A, letter) -> bool:
+    """Whether inserting or deleting one occurrence of the letter anywhere
+    never changes membership in L(A), by two inclusions: the words of L(A)
+    with one occurrence inserted, bridged by a letter move from each state
+    to its copy, and those with one deleted, bridged by an epsilon move
+    along each letter move, must both lie in L(A)."""
+    insert_one = _phased(A, (((s, 0), letter, (s, 1)) for s in A.states), {letter})
+    delete_one = _phased(
+        A,
+        (((src, 0), None, (dst, 1)) for src, label, dst in A.transitions
+         if label == letter),
+        {letter},
+    )
+    return included(insert_one, A) and included(delete_one, A)
+
+
+def _reversed(A) -> Fields:
+    return Fields(
+        A.states, A.final, A.initial,
+        frozenset((dst, label, src) for src, label, dst in A.transitions),
+        A.alphabet,
+    )
+
+
+def brzozowski_minimal(A) -> Fields:
+    """The minimal complete DFA of L(A) by Brzozowski's construction:
+    reverse, determinize, reverse, determinize."""
+    once = Fields(*subset_construction(_reversed(A)))
+    return Fields(*subset_construction(_reversed(once)))
+
+
 def brute_satisfies(db, A) -> bool:
     """Whether some walk of db spells a word of L(A).
 

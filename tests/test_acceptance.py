@@ -231,12 +231,12 @@ def test_criterion_08_condensation_preserves_hitting_sets():
     )
 
 
-def _random_regex(rng, depth):
+def _random_regex(rng, depth, leaves=("a", "b", "c", "~")):
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(["a", "b", "c", "~"])
+        return rng.choice(leaves)
     shape = rng.random()
-    left = _random_regex(rng, depth - 1)
-    right = _random_regex(rng, depth - 1)
+    left = _random_regex(rng, depth - 1, leaves)
+    right = _random_regex(rng, depth - 1, leaves)
     if shape < 0.4:
         return f"({left})({right})"
     if shape < 0.8:

@@ -22,6 +22,8 @@ from rpqres.automata import (
     is_neutral_letter,
     is_subset,
     language_words,
+    minimize,
+    neutral_letters,
     non_aperiodic_witness,
     parse_automaton,
     reduce_regular,
@@ -266,6 +268,22 @@ def test_tables_match_the_reference_constructions():
     for _ in range(600):
         x, y = rng.choice(pool), rng.choice(pool)
         assert is_subset(x, y) == oracles.included(x, y)
+
+
+def test_minimize_matches_brzozowski():
+    rng = random.Random(909)
+    checked = 0
+    for _ in range(300):
+        m = A(_random_regex(rng, 4))
+        for given in (m, reduce_regular(m)):
+            d = minimize(given)
+            assert len(d.initial) == 1 and None not in {t[1] for t in d.transitions}
+            moves = {(src, label): dst for src, label, dst in d.transitions}
+            assert len(moves) == len(d.transitions) == len(d.states) * len(d.alphabet)
+            assert oracles.included(d, given) and oracles.included(given, d)
+            assert len(d.states) == len(oracles.brzozowski_minimal(given).states)
+            checked += 1
+    assert checked == 600
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +554,25 @@ def test_neutral_letter():
     assert is_neutral_letter(m, "e")
     assert not is_neutral_letter(m, "b")
     assert not is_neutral_letter(A("ab"), "a")
+
+
+def test_neutral_letters_match_the_phased_reference():
+    rng = random.Random(909)
+    leaves = ("a", "b", "c", "~", "e", "e*")
+    texts = [_random_regex(rng, 4, leaves) for _ in range(300)]
+    texts += ["0", "e*be*ce*|e*de*fe*"]
+    found = 0
+    for text in texts:
+        m = A(text)
+        expected = {
+            a for a in m.alphabet | {"z"} if oracles.reference_neutral_letter(m, a)
+        }
+        for a in sorted(m.alphabet) + ["z"]:  # z is foreign to every alphabet
+            assert is_neutral_letter(m, a) == (a in expected), (text, a)
+        assert neutral_letters(m) == expected - {"z"}, text
+        found += len(expected - {"z"})
+    assert is_neutral_letter(A("0"), "z") and neutral_letters(A("e*be*ce*|e*de*fe*")) == {"e"}
+    assert found > 50
 
 
 def test_aperiodicity():

@@ -142,6 +142,46 @@ def test_edge_domination_drops_supersets():
     assert frozenset({f}) in kept
 
 
+def _edge_domination_restarting(vertices, edges, steps) -> frozenset:
+    """The reference: rescan in sorted order after every removal, and drop
+    the first edge that has a strict subset, against the first one."""
+    current = set(edges)
+    while True:
+        ordered = sorted(current, key=sorted)
+        found = next(
+            ((e, o) for e in ordered for o in ordered if o < e), None
+        )
+        if found is None:
+            return frozenset(current)
+        e, witness = found
+        before = frozenset(current)
+        current.remove(e)
+        steps.append(
+            gadgets.CondensationStep(
+                "edge-domination", e, witness,
+                vertices, before, vertices, frozenset(current),
+            )
+        )
+
+
+def test_edge_domination_in_one_pass_matches_the_restarting_scan():
+    rng = random.Random(400)
+    removals = 0
+    for _ in range(400):
+        facts = [Fact(f"n{i}", "a", f"n{i + 1}") for i in range(rng.randint(2, 7))]
+        edges = {
+            frozenset(rng.sample(facts, rng.randint(1, min(4, len(facts)))))
+            for _ in range(rng.randint(1, 12))
+        }
+        vertices = frozenset(facts)
+        steps, reference = [], []
+        kept = gadgets._edge_domination(vertices, frozenset(edges), steps)
+        assert kept == _edge_domination_restarting(vertices, edges, reference)
+        assert steps == reference
+        removals += len(steps)
+    assert removals > 900
+
+
 def test_condensation_steps_preserve_hitting_set():
     completed, f_in, f_out = completion(AA)
     H = build_match_hypergraph(completed, words("aaa"), f_in, f_out)

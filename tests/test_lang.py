@@ -170,14 +170,14 @@ def test_maximal_gap_needs_a_repeat():
 
 
 def test_parse_regex_shapes():
+    a, b, c = lang.RLetter("a"), lang.RLetter("b"), lang.RLetter("c")
     r = lang.parse_regex("ab|c*")
-    assert isinstance(r, lang.RUnion)
-    assert lang.regex_alphabet(r) == frozenset("abc")
+    assert r == lang.RUnion((lang.RConcat((a, b)), lang.RStar(c)))
 
 
 def test_parse_regex_brackets_and_epsilon():
     r = lang.parse_regex("[go]~")
-    assert lang.regex_alphabet(r) == frozenset({"go"})
+    assert r == lang.RConcat((lang.RLetter("go"), lang.REpsilon()))
 
 
 def test_parse_regex_rejects_garbage():
@@ -217,7 +217,10 @@ def test_regex_to_string_parses_back():
 def test_deep_regex_trees_are_walked_without_recursion():
     text = "(" * 600 + "a" + "b)" * 600
     r = lang.parse_regex(text)
-    assert lang.regex_alphabet(r) == {"a", "b"}
+    expected = lang.RLetter("a")
+    for _ in range(600):
+        expected = lang.RConcat((expected, lang.RLetter("b")))
+    assert r == expected
     # each inner concatenation keeps its brackets
     printed = lang.regex_to_string(r)
     assert printed == "(" * 599 + "ab)" + "b)" * 598 + "b"
