@@ -26,7 +26,6 @@ automaton, like the trim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from . import lang
@@ -70,11 +69,13 @@ class EpsNFA:
         if not used <= self.alphabet:
             object.__setattr__(self, "alphabet", self.alphabet | frozenset(used))
 
-    @cached_property
+    @property
     def tables(self) -> Tables:
         """Built on first use and kept on the instance, outside the
         fields, so equality, hashing and repr ignore it."""
-        return _build_tables(self)
+        if "_tables" not in vars(self):
+            vars(self)["_tables"] = _build_tables(self)
+        return vars(self)["_tables"]
 
     def size(self) -> int:
         return len(self.states) + len(self.transitions)

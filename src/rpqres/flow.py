@@ -8,19 +8,16 @@ Capacities are Python integers, so sums cannot overflow.
 A ``FlowNetwork`` numbers its vertices on first use, the source 0 and the
 target 1, and stores edge ``k`` as the residual slots ``2k`` (forward)
 and ``2k + 1`` (reverse): one array of slot ends, one of capacities.
-``add_edge`` numbers the ends of one edge at a time; the product-network
-builder in ``solvers`` numbers the vertices itself, in the same order,
-and writes all its edges in one private call.  That builder has already
-merged every vertex hanging off an unbounded edge from the source (or to
-the target) into the source (or the target): no finite cut crosses such
-an edge, so the merge changes neither the value nor the cut.
-``min_cut`` reads those arrays directly.  Infinite capacities become one
-more than the sum of the finite ones, so a reach along such slots alone
-decides whether any finite cut exists; when one does, no flow can
-saturate them.  Dinic's algorithm then builds a BFS level graph per phase
-and finds a blocking flow by a depth-first search with an explicit path
-stack and a per-vertex slot pointer, so nothing recurses in proportion
-to path length.
+``add_edge`` numbers the ends of one edge at a time.  The product-network
+builder in ``solvers`` reaches the useful part of a product, merges its
+attachments into the terminals and writes all its edges, numbered in the
+same order, in one private call.  ``min_cut`` reads those arrays
+directly.  Infinite capacities become one more than the sum of the finite
+ones, so a reach along such slots alone decides whether any finite cut
+exists; when one does, no flow can saturate them.  Dinic's algorithm then
+builds a BFS level graph per phase and finds a blocking flow by a
+depth-first search with an explicit path stack and a per-vertex slot
+pointer, so nothing recurses in proportion to path length.
 
 The returned cut is the set of edges leaving the vertices reachable from
 the source in the final residual graph.  That set is the source side of

@@ -16,7 +16,6 @@ a solver from the classifier verdict.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -187,79 +186,74 @@ def _bits(mask: int):
 # product networks
 
 
-def _product_network(size, fact_arcs, unbounded_arcs, sources, targets):
-    """The flow network of a product of the database with a language.
+def _reach_network(roles, starts, moves):
+    """The flow network of the useful part of a product of the database
+    with a language, and a map from its edge indices to facts.
 
-    Its vertices are the numbers ``0 .. size - 1`` that the reduction gave
-    them as it created them.  ``fact_arcs`` are ``(tail, head, facts,
-    mult)`` tuples, one capacity-mult edge each, tagged with the tuple of
-    facts that cutting it removes; ``unbounded_arcs`` are ``(tail, head)``
-    pairs; ``sources`` and ``targets`` are disjoint sets of vertices
-    attached, by unbounded edges, from the network's source and to its
-    target.  Returns the network and a map from edge index to facts.
+    A product vertex is a pair of a layer, a small int, and a node.
+    ``roles[layer]`` is 0 if the layer's vertices are attached from the
+    source by unbounded edges, 1 if they are attached to the target and -1
+    otherwise.  An arc is a ``(layer, node, order, facts, mult)`` tuple
+    naming its head: a capacity-``mult`` edge tagged with the tuple of
+    facts that cutting it removes, or an unbounded edge if ``facts`` is
+    None.  ``starts`` lists the arcs out of the source attachments and
+    ``moves[layer](node)`` those out of an unattached vertex, if any.
 
-    Each attached vertex merges into its terminal: no finite cut crosses
-    an unbounded edge, so every one already puts a source attachment on
-    the source side and a target attachment on the target side.  Arcs that
-    would then enter the source or leave the target cross no cut from the
-    source side to the target side and are dropped.  The value, the
-    inclusion-minimal minimum cut and its facts stay the same, and every
-    augmenting path is two edges shorter.
-
-    Only vertices on a path from a source attachment to a target
-    attachment through unattached vertices are kept, so every edge lies
-    on a source-target path of the merged network.  Pruning keeps the
-    answer: the flow runs along such paths only, and the source side of
-    the inclusion-minimal minimum cut loses only vertices that no cut edge
-    touches.  The builder numbers the network's vertices itself, the
-    source 0, the target 1 and the rest on first use, head before tail,
-    and writes the edges into the network in one call.
+    Each attachment merges into its terminal, and arcs that would then
+    enter the source or leave the target are dropped: no finite cut
+    crosses an unbounded edge, so the value and the inclusion-minimal
+    minimum cut stay the same.  Only vertices on a source-target path are
+    kept: the flow runs along such paths only, and the source side of that
+    cut loses only vertices no cut edge touches.  A reach forward from
+    ``starts``, never stepping onto an unattached vertex without arcs out,
+    records the arcs such a path can use; a reach backward over them from
+    the target keeps the useful ones, and only those vertices are
+    numbered: the source 0, the target 1 and the rest on first use, head
+    before tail, as the kept edges are written in increasing ``order``.
     """
-    succ: list[list[int]] = [[] for _ in range(size)]
-    pred: list[list[int]] = [[] for _ in range(size)]
-    for arc in itertools.chain(fact_arcs, unbounded_arcs):
-        succ[arc[0]].append(arc[1])
-        pred[arc[1]].append(arc[0])
-    # network vertex numbers; -1 until an unattached vertex is first used
-    number = [-1] * size
-    for v in sources:
-        number[v] = 0
-    for v in targets:
-        number[v] = 1
-    # mark 1: reached from a source; 2: also reaches a target.  Neither
-    # reach walks on from the other terminal's attachments, whose onward
-    # arcs the merge drops; the backward one keeps to marked vertices,
-    # since every path from one stays marked.
-    mark = bytearray(size)
-    for level, adjacency, seeds, stop in ((1, succ, sources, 1), (2, pred, targets, 0)):
-        stack = list(seeds)
-        while stack:
-            v = stack.pop()
-            if mark[v] == level - 1:
-                mark[v] = level
-                if number[v] != stop:
-                    stack.extend(adjacency[v])
+    seen = [{} for _ in roles]  # per layer: node -> reached vertex, 0 if dead
+    into: list[list[int]] = [[], []]  # per reached vertex: its recorded arcs
+    recorded = []  # per recorded arc: (order, tail, head, arc)
+    stack = [(0, starts)]
+    while stack:
+        v, out = stack.pop()
+        for arc in out:
+            w = roles[arc[0]]  # the source 0 is never entered, the target 1 ends
+            if w < 0:
+                ids = seen[arc[0]]
+                w = ids.get(arc[1])
+                if w is None:
+                    onward = moves[arc[0]](arc[1])
+                    w = ids[arc[1]] = len(into) if onward else 0
+                    if w:
+                        into.append([])
+                        stack.append((w, onward))
+            if w:
+                into[w].append(len(recorded))
+                recorded.append((arc[2], v, w, arc))
 
-    vertices: list = []  # the product vertex numbered 2 + i
-    ends: list[int] = []  # head and tail number per edge
-    caps: list = []
-    tag = {}
-    for arc in itertools.chain(fact_arcs, unbounded_arcs):
-        tail, head = arc[0], arc[1]
-        if mark[tail] != 2 or mark[head] != 2:
-            continue
-        if number[head] == 0 or number[tail] == 1:
-            continue
+    kept = []
+    stack, into[1] = [into[1]], None  # None once the vertex is known useful
+    while stack:
+        for a in stack.pop():
+            kept.append(recorded[a])
+            v = recorded[a][1]
+            if into[v] is not None:
+                stack.append(into[v])
+                into[v] = None
+    kept.sort(key=lambda r: r[0])
+    number = [0, 1] + [-1] * (len(into) - 2)
+    vertices, ends = [], []  # the reached vertex numbered 2 + i; head, tail per edge
+    caps, tag = [], {}
+    for _, tail, head, arc in kept:
         for v in (head, tail):
             if number[v] < 0:
                 number[v] = len(vertices) + 2
                 vertices.append(v)
         ends += (number[head], number[tail])
-        if len(arc) == 4:
-            tag[len(caps)] = arc[2]
-            caps.append(arc[3])
-        else:
-            caps.append(INF)
+        if arc[3] is not None:
+            tag[len(caps)] = arc[3]
+        caps.append(INF if arc[3] is None else arc[4])
     net = flow.FlowNetwork("source", "target")
     net._add_numbered(vertices, ends, caps)
     return net, tag
@@ -297,9 +291,11 @@ def resilience_local(
     each node gets one vertex and there is no epsilon transition; in
     general no state is both entered and left by one, so epsilon moves
     never chain.  Cutting an edge set disconnecting source from target is
-    exactly removing a fact set that breaks every accepted walk.  Only
-    pairs touched by a fact edge can lie on a source-target path, so no
-    others are built.
+    exactly removing a fact set that breaks every accepted walk.  The
+    facts are indexed by tail node in one dict per state, and the network
+    is reached from those out of initial states.  An epsilon move enters a
+    state neither final nor left by one, so it is followed only to a node
+    with a fact out of that state.
     """
     A = automata.automaton_for(language)
     if automata.accepts(A, ()):
@@ -310,36 +306,34 @@ def resilience_local(
             " would overapproximate it"
         )
     ro = automata.trim(automata.eps_nfa_to_ro(A))
+    layer: dict = {}  # state -> its layer, numbered in order of first use
+    roles, out = [], []  # per layer: its role, and tail node -> the arcs out
+    follow: dict = {}  # layer -> the layers its epsilon moves reach
     letter_arc = {}
-    follow: dict = {}
     for src, label, dst in sorted(ro.transitions, key=str):
+        for q in (src, dst):
+            if q not in layer:
+                layer[q] = len(roles)
+                roles.append(0 if q in ro.initial else 1 if q in ro.final else -1)
+                out.append({})
         if label is None:
-            follow.setdefault(src, []).append(dst)
+            follow.setdefault(layer[src], []).append(layer[dst])
         else:
-            letter_arc[label] = (src, dst)
-
-    ids: dict = {}  # (node, state) -> vertex, numbered in order of first use
-    fact_arcs = []
-    for fact, m in db.entries:
+            letter_arc[label] = (out[layer[src]], layer[dst])
+    for pos, (fact, m) in enumerate(db.entries):
         hit = letter_arc.get(fact.label)
         if hit is not None:
-            tail = ids.setdefault((fact.tail, hit[0]), len(ids))
-            head = ids.setdefault((fact.head, hit[1]), len(ids))
-            fact_arcs.append((tail, head, (fact,), m))
-    unbounded_arcs = [
-        (v, w)
-        for v, (node, state) in enumerate(ids)
-        for nxt in follow.get(state, ())
-        if (w := ids.get((node, nxt))) is not None
-    ]
-    net, tag = _product_network(
-        len(ids),
-        fact_arcs,
-        unbounded_arcs,
-        [v for v, (_, state) in enumerate(ids) if state in ro.initial],
-        [v for v, (_, state) in enumerate(ids) if state in ro.final],
-    )
-    value, contingency = _cut_facts(net, tag)
+            hit[0].setdefault(fact.tail, []).append((hit[1], fact.head, pos, (fact,), m))
+
+    def with_epsilon(table, nxt):
+        return lambda node: [*table.get(node, ()), *(
+            (y, node, len(db) + r, None, None) for r, y in enumerate(nxt) if node in out[y]
+        )]
+
+    moves = [with_epsilon(t, follow[q]) if q in follow else t.get for q, t in enumerate(out)]
+    starts = [arc for q, role in enumerate(roles) if role == 0
+              for node in out[q] for arc in moves[q](node)]
+    value, contingency = _cut_facts(*_reach_network(roles, starts, moves))
     return ResilienceAnswer(value, contingency, "local")
 
 
@@ -393,42 +387,60 @@ def resilience_bcl(
         return ResilienceAnswer(forced_cost, forced, "bcl")
 
     source_side, _ = analysis.bipartition
-    long_labels = {letter for w in long_words for letter in w}
-    # fact arc j runs from vertex 2j, its start, to vertex 2j + 1, its end
-    fact_arcs = []
-    heads = []
-    by_label: dict = {}
-    by_label_tail: dict = {}
-    for fact, m in db.entries:
-        if fact.label in long_labels and fact.label not in singles:
-            j = len(fact_arcs)
-            fact_arcs.append((2 * j, 2 * j + 1, (fact,), m))
-            heads.append(fact.head)
-            by_label.setdefault(fact.label, []).append(j)
-            by_label_tail.setdefault((fact.label, fact.tail), []).append(j)
-
-    unbounded_arcs = []
+    # the fact at position j of the database runs from vertex (0, j) or
+    # (1, j), its start, to (2, j) or (3, j), its end: the source attaches
+    # the starts of layer 0, the target the ends of layer 2
+    letters = sorted({letter for w in long_words for letter in w} - singles)
+    layers = {x: [1, 3] for x in letters}  # letter -> its start and end layer
+    for x in {w[k] for w in long_words for k in (0, -1)} & layers.keys():
+        layers[x][x not in source_side] = 0 if x in source_side else 2
+    # a forward word steps from an x fact's end to the start of a y fact at
+    # its head, a backward one from a y fact's end to the start of an x fact
+    # at its tail; these edges follow the fact edges, by step, x and y fact
+    entries, n = db.entries, len(db)
+    steps: dict = {x: [] for x in letters}  # letter -> (layer, facts by node, forward, order)
+    by_tail: dict = {x: {} for x in letters}
+    by_head: dict = {}
+    order = n  # of the next step's first unbounded edge
     for w in long_words:
         forward = w[0] in source_side
         for x, y in zip(w, w[1:]):
-            for j in by_label.get(x, ()):
-                for k in by_label_tail.get((y, heads[j]), ()):
-                    if forward:
-                        unbounded_arcs.append((2 * j + 1, 2 * k))
-                    else:
-                        unbounded_arcs.append((2 * k + 1, 2 * j))
+            if x in layers and y in layers:
+                if forward:
+                    steps[x].append((layers[y][0], by_tail[y], True, (n, 1, order)))
+                else:
+                    step = (layers[x][0], by_head.setdefault(x, {}), False, (1, n, order))
+                    steps[y].append(step)
+            order += n * n
+    for j, (fact, _) in enumerate(entries):
+        if fact.label in by_tail:
+            by_tail[fact.label].setdefault(fact.tail, []).append(j)
+            if fact.label in by_head:
+                by_head[fact.label].setdefault(fact.head, []).append(j)
 
-    endpoint_letters = sorted({w[0] for w in long_words} | {w[-1] for w in long_words})
-    net, tag = _product_network(
-        2 * len(fact_arcs),
-        fact_arcs,
-        unbounded_arcs,
-        [2 * j for a in endpoint_letters if a in source_side
-         for j in by_label.get(a, ())],
-        [2 * j + 1 for a in endpoint_letters if a not in source_side
-         for j in by_label.get(a, ())],
-    )
-    value, contingency = _cut_facts(net, tag)
+    def fact_edge(j):
+        fact, m = entries[j]
+        end = layers[fact.label][1]
+        if end == 3:  # a fact whose end has no step on is no use
+            for _, index, forward, _ in steps[fact.label]:
+                if (fact.head if forward else fact.tail) in index:
+                    break
+            else:
+                return ()
+        return ((end, j, j, (fact,), m),)
+
+    def steps_on(j):
+        fact, arcs = entries[j][0], []
+        for nxt, index, forward, (by_j, by_k, order) in steps[fact.label]:
+            order += j * by_j
+            found = index.get(fact.head if forward else fact.tail, ())
+            arcs += [(nxt, k, order + k * by_k, None, None) for k in found]
+        return arcs
+
+    roles, moves = [0, -1, 1, -1], [fact_edge, fact_edge, steps_on, steps_on]
+    starts = [arc for x in letters if layers[x][0] == 0
+              for js in by_tail[x].values() for j in js for arc in fact_edge(j)]
+    value, contingency = _cut_facts(*_reach_network(roles, starts, moves))
     return ResilienceAnswer(forced_cost + value, forced | contingency, "bcl")
 
 
@@ -463,19 +475,16 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
         raise SolverRefusal(
             "the submodular pattern needs pairwise distinct letters"
         )
-    level = {letter: k for k, letter in enumerate(word[:-1])}
     last = len(word) - 1
-    ids: dict = {}  # (node, k), (node, "exit"), (node, "entry") -> vertex
-    fact_arcs = []
-    into: dict = {}  # node -> a_{n-1} facts into it
-    out: dict = {}  # node -> e facts out of it
-    out_last: dict = {}  # node -> a_n facts out of it
-    for fact, m in db.entries:
+    roles = [0] + [-1] * last + [1, 0]  # levels 0 .. n-1, then exits, entries
+    tables = [{} for _ in roles]  # per layer: node -> the arcs out
+    level = {letter: k for k, letter in enumerate(word[:-1])}
+    # per node: the a_{n-1} facts into it, the e and the a_n facts out of it
+    into, out, out_last = {}, {}, {}
+    for pos, (fact, m) in enumerate(db.entries):
         k = level.get(fact.label)
         if k is not None:
-            tail = ids.setdefault((fact.tail, k), len(ids))
-            head = ids.setdefault((fact.head, k + 1), len(ids))
-            fact_arcs.append((tail, head, (fact,), m))
+            tables[k].setdefault(fact.tail, []).append((k + 1, fact.head, pos, (fact,), m))
             if k + 1 == last:
                 into.setdefault(fact.head, []).append(fact)
         elif fact.label == extra:
@@ -486,25 +495,18 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
     def cost(facts):
         return sum(db.mult(f) for f in facts)
 
-    entries, exits = [], []
+    order = len(db)  # the exit and entry edges follow the fact edges, by node
     for v in sorted(into):
         leaving = out.get(v, []) + out_last.get(v, [])
-        if not leaving:
-            continue
-        cheaper = min(into[v], leaving, key=cost)
-        exits.append(ids.setdefault((v, "exit"), len(ids)))
-        fact_arcs.append((ids[v, last], exits[-1], tuple(cheaper), cost(cheaper)))
-        if v in out:
-            entries.append(ids.setdefault((v, "entry"), len(ids)))
-            fact_arcs.append((entries[-1], ids[v, last], tuple(out[v]), cost(out[v])))
-    net, tag = _product_network(
-        len(ids),
-        fact_arcs,
-        [],
-        [i for (_, k), i in ids.items() if k == 0] + entries,
-        exits,
-    )
-    value, contingency = _cut_facts(net, tag)
+        if leaving:
+            cheaper = min(into[v], leaving, key=cost)
+            tables[last][v] = [(last + 1, v, order, tuple(cheaper), cost(cheaper))]
+            if v in out:
+                tables[last + 2][v] = [(last, v, order + 1, tuple(out[v]), cost(out[v]))]
+            order += 2
+    starts = [arc for k in (0, last + 2) for arcs in tables[k].values() for arc in arcs]
+    moves = [table.get for table in tables]
+    value, contingency = _cut_facts(*_reach_network(roles, starts, moves))
     assert value == cost(contingency)
     return ResilienceAnswer(value, contingency, "submod")
 

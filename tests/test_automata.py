@@ -223,8 +223,18 @@ def test_tables_stay_out_of_equality_and_repr():
     m, again = A("a(b|c)*"), A("a(b|c)*")
     before = (repr(m), hash(m))
     assert accepts(m, wd("abc"))  # builds the tables of m only
-    assert "tables" in vars(m) and "tables" not in vars(again)
+    assert "_tables" in vars(m) and "_tables" not in vars(again)
     assert m == again and (repr(m), hash(m)) == before
+
+
+def test_tables_are_built_once_outside_the_fields():
+    m, again = A("ab*|c"), A("ab*|c")
+    first = m.tables
+    assert m.tables is first and vars(m)["_tables"] is first
+    assert m == again and hash(m) == hash(again) and repr(m) == repr(again)
+    assert again.tables == first and again.tables is not first
+    assert m == again and hash(m) == hash(again) and repr(m) == repr(again)
+    assert "_tables" not in repr(m)
 
 
 def test_inclusion_stops_at_a_counterexample_before_the_cap():
