@@ -15,9 +15,14 @@ same order, in one private call.  ``min_cut`` reads those arrays
 directly.  Infinite capacities become one more than the sum of the finite
 ones, so a reach along such slots alone decides whether any finite cut
 exists; when one does, no flow can saturate them.  Dinic's algorithm then
-builds a BFS level graph per phase and finds a blocking flow by a
-depth-first search with an explicit path stack and a per-vertex slot
-pointer, so nothing recurses in proportion to path length.
+levels the vertices per phase by their residual distance to the target,
+found by a BFS backward from the target that stops once it reaches the
+source, and finds a blocking flow by a depth-first search from the source
+that steps only one level closer to the target each time.  The search
+keeps an explicit path stack and a per-vertex slot pointer, so nothing
+recurses in proportion to path length, and a vertex it has to leave drops
+out of the phase.  Each vertex lists its forward slots before its reverse
+ones.
 
 The returned cut is the set of edges leaving the vertices reachable from
 the source in the final residual graph.  That set is the source side of
@@ -133,49 +138,57 @@ def min_cut(network: FlowNetwork) -> CutResult:
     out: list[list[int]] = [[] for _ in range(n)]
     for slot in range(0, len(ends), 2):
         out[ends[slot + 1]].append(slot)
-        out[ends[slot]].append(slot + 1)
+    for slot in range(1, len(ends), 2):
+        out[ends[slot - 1]].append(slot)
     # only an INF slot holds more than the sum of the finite capacities
     if _residual_reach(out, ends, cap, unbounded)[1]:
         return CutResult(INF, ())
 
     value = 0
     while True:
-        level = [-1] * n
-        level[0] = 0
-        queue = [0]
+        # residual distance to the target: slot s leads from v to w, and its
+        # partner s ^ 1 from w into v, so the partner's capacity counts
+        dist = [-1] * n
+        dist[1] = 0
+        queue = [1]
         for v in queue:
-            below = level[v] + 1
+            farther = dist[v] + 1
             for slot in out[v]:
                 w = ends[slot]
-                if cap[slot] and level[w] < 0:
-                    level[w] = below
+                if dist[w] < 0 and cap[slot ^ 1]:
+                    dist[w] = farther
                     queue.append(w)
-        if level[1] < 0:
-            break
+            if dist[0] >= 0:
+                break
+        else:
+            break  # the source no longer reaches the target
 
         pointer = [0] * n
         path: list[int] = []  # slots from the source to v
         v = 0
         while True:
             if v == 1:
-                sent = min(cap[slot] for slot in path)
-                value += sent
+                sent = cap[path[0]]
                 for slot in path:
+                    if cap[slot] < sent:
+                        sent = cap[slot]
+                value += sent
+                # resume from the tail of the first saturated slot
+                first = -1
+                for i, slot in enumerate(path):
                     cap[slot] -= sent
                     cap[slot ^ 1] += sent
-                # resume from the tail of the first saturated slot
-                for i, slot in enumerate(path):
-                    if not cap[slot]:
-                        break
-                del path[i:]
+                    if first < 0 and not cap[slot]:
+                        first = i
+                del path[first:]
                 v = ends[path[-1]] if path else 0
                 continue
             slots = out[v]
-            below = level[v] + 1
+            closer = dist[v] - 1
             i = pointer[v]
             while i < len(slots):
                 slot = slots[i]
-                if cap[slot] and level[ends[slot]] == below:
+                if cap[slot] and dist[ends[slot]] == closer:
                     break
                 i += 1
             pointer[v] = i
@@ -184,7 +197,7 @@ def min_cut(network: FlowNetwork) -> CutResult:
                 v = ends[slot]
             elif path:
                 # no blocking path leaves v in this phase
-                level[v] = -1
+                dist[v] = -1
                 v = ends[path.pop() ^ 1]
                 pointer[v] += 1
             else:

@@ -375,7 +375,13 @@ def resilience_bcl(
             f"endpoint graph has the odd cycle {cycle}, so the chain"
             " language is not bipartite"
         )
+    return _bcl_cut(db, words, analysis.bipartition[0])
 
+
+def _bcl_cut(db: GraphDB, words: frozenset, source_side) -> ResilienceAnswer:
+    """The bipartite-chain min-cut for the words of a chain language
+    whose endpoint graph puts the letters of ``source_side`` on the
+    source side."""
     singles = {w[0] for w in words if len(w) == 1}
     forced, forced_cost = frozenset(), 0
     if singles:
@@ -386,7 +392,6 @@ def resilience_bcl(
     if not long_words:
         return ResilienceAnswer(forced_cost, forced, "bcl")
 
-    source_side, _ = analysis.bipartition
     # the fact at position j of the database runs from vertex (0, j) or
     # (1, j), its start, to (2, j) or (3, j), its end: the source attaches
     # the starts of layer 0, the target the ends of layer 2
@@ -582,7 +587,7 @@ def resilience(
         if verdict.method == "local":
             return resilience_local(db, analysis.reduced, promise_local=True)
         if verdict.method == "bcl":
-            return resilience_bcl(db, analysis.words)
+            return _bcl_cut(db, analysis.words, frozenset(verdict.witness["sides"][0]))
         return _submod_dispatch(db, analysis.words)
 
     if len(db) > fact_cap:

@@ -17,21 +17,26 @@ def network_of(edges, source="s", target="t"):
     return net
 
 
-def check_cut(network, edge_indices) -> bool:
-    """Whether removing the given edges leaves no source-target path."""
-    removed = frozenset(edge_indices)
-    adjacency: dict = {}
-    for index, e in enumerate(network.edges):
-        if index not in removed:
-            adjacency.setdefault(e.tail, []).append(e.head)
-    seen = {network.source}
-    stack = [network.source]
+def reaches(edges, start, forward=True):
+    """The vertices ``start`` reaches along ``edges``, or that reach it."""
+    step: dict = {}
+    for tail, head, _ in edges:
+        a, b = (tail, head) if forward else (head, tail)
+        step.setdefault(a, []).append(b)
+    seen, stack = {start}, [start]
     while stack:
-        for w in adjacency.get(stack.pop(), ()):
+        for w in step.get(stack.pop(), ()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return network.target not in seen
+    return seen
+
+
+def check_cut(network, edge_indices) -> bool:
+    """Whether removing the given edges leaves no source-target path."""
+    removed = frozenset(edge_indices)
+    kept = [e for index, e in enumerate(network.edges) if index not in removed]
+    return network.target not in reaches(kept, network.source)
 
 
 def test_single_edge():
@@ -246,3 +251,154 @@ def test_min_cut_deterministic():
     first = flow.min_cut(network_of(edges))
     for _ in range(3):
         assert flow.min_cut(network_of(edges)) == first
+
+
+# ---------------------------------------------------------------------------
+# the source-levelled Dinic that min_cut replaced, as a reference
+
+
+def reference_min_cut(network):
+    """Dinic's algorithm with BFS levels counted from the source."""
+    ends, caps = network._ends, network._caps
+    unbounded = sum(c for c in caps if c != flow.INF) + 1
+    cap = [0] * (2 * len(caps))
+    cap[::2] = [unbounded if c == flow.INF else c for c in caps]
+    n = len(network._index)
+    out = [[] for _ in range(n)]
+    for slot in range(0, len(ends), 2):
+        out[ends[slot + 1]].append(slot)
+        out[ends[slot]].append(slot + 1)
+    if flow._residual_reach(out, ends, cap, unbounded)[1]:
+        return flow.CutResult(flow.INF, ())
+
+    value = 0
+    while True:
+        level = [-1] * n
+        level[0] = 0
+        queue = [0]
+        for v in queue:
+            below = level[v] + 1
+            for slot in out[v]:
+                w = ends[slot]
+                if cap[slot] and level[w] < 0:
+                    level[w] = below
+                    queue.append(w)
+        if level[1] < 0:
+            break
+
+        pointer = [0] * n
+        path = []
+        v = 0
+        while True:
+            if v == 1:
+                sent = min(cap[slot] for slot in path)
+                value += sent
+                for slot in path:
+                    cap[slot] -= sent
+                    cap[slot ^ 1] += sent
+                for i, slot in enumerate(path):
+                    if not cap[slot]:
+                        break
+                del path[i:]
+                v = ends[path[-1]] if path else 0
+                continue
+            slots = out[v]
+            below = level[v] + 1
+            i = pointer[v]
+            while i < len(slots):
+                slot = slots[i]
+                if cap[slot] and level[ends[slot]] == below:
+                    break
+                i += 1
+            pointer[v] = i
+            if i < len(slots):
+                path.append(slot)
+                v = ends[slot]
+            elif path:
+                level[v] = -1
+                v = ends[path.pop() ^ 1]
+                pointer[v] += 1
+            else:
+                break
+
+    reachable = flow._residual_reach(out, ends, cap, 1)
+    cut = tuple(
+        k
+        for k in range(len(caps))
+        if reachable[ends[2 * k + 1]] and not reachable[ends[2 * k]]
+    )
+    return flow.CutResult(value, cut)
+
+
+def test_min_cut_matches_the_source_levelled_reference():
+    rng = random.Random(2211)
+    seen = dict.fromkeys(
+        ("infinite", "parallel", "zero", "self-loop", "reaches only the target",
+         "reached only from the source", "finite cut", "no finite cut"), 0)
+    for _ in range(600):
+        nodes = ["s", "t", *range(rng.randint(1, 12))]
+        edges, unbounded = [], rng.choice((0.05, 0.3))
+        for _ in range(rng.randint(1, 40)):
+            tail, head = rng.choice(nodes), rng.choice(nodes)
+            roll = rng.random()
+            cap = flow.INF if roll < unbounded else 0 if roll < 0.4 else rng.randint(1, 9)
+            edges.append((tail, head, cap))
+            if rng.random() < 0.15:
+                edges.append((tail, head, rng.randint(0, 9)))
+        # a dangling tree into the target and one out of the source
+        for end in ("t", "s"):
+            for k in range(rng.randint(0, 3)):
+                extra = f"{end}-side {k}"
+                other = rng.choice([end, *[v for v in nodes if v not in ("s", "t")]])
+                pair = (extra, other) if end == "t" else (other, extra)
+                edges.append((*pair, rng.choice((0, 1, 5, flow.INF))))
+        net = network_of(edges)
+        got = flow.min_cut(net)
+        assert got == reference_min_cut(net), edges
+
+        from_s, to_t = reaches(edges, "s"), reaches(edges, "t", forward=False)
+        pairs = [(tail, head) for tail, head, _ in edges]
+        seen["infinite"] += any(c == flow.INF for _, _, c in edges)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["zero"] += any(c == 0 for _, _, c in edges)
+        seen["self-loop"] += any(tail == head for tail, head in pairs)
+        seen["reaches only the target"] += bool(to_t - from_s)
+        seen["reached only from the source"] += bool(from_s - to_t)
+        seen["finite cut" if got.value != flow.INF else "no finite cut"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def parallel_chains(lengths):
+    """Chains from s to t, one per length, each with one least capacity:
+    the network, its minimum cut value and its cut edge indices."""
+    net = flow.FlowNetwork("s", "t")
+    value, cut = 0, []
+    for length in lengths:
+        narrow = 7 * length // 11
+        nodes = ["s", *((length, i) for i in range(1, length)), "t"]
+        for i, (tail, head) in enumerate(zip(nodes, nodes[1:])):
+            cap = length if i == narrow else length + 1 + i % 3
+            k = net.add_edge(tail, head, cap)
+            if i == narrow:
+                value += cap
+                cut.append(k)
+    return net, value, tuple(cut)
+
+
+def test_many_phases_of_distinct_path_lengths():
+    # each path length takes its own phase: 200 phases, one per chain
+    net, value, cut = parallel_chains(range(1, 201))
+    assert flow.min_cut(net) == flow.CutResult(value, cut)
+    assert value == sum(range(1, 201))
+
+
+def test_min_cut_leaves_the_network_untouched():
+    net, value, cut = parallel_chains([3, 1, 4, 1, 5])
+    for edge in (("s", "x", flow.INF), ("x", "t", 2), ("x", "x", 0), ("t", "s", 7)):
+        net.add_edge(*edge)
+    ends, caps = list(net._ends), list(net._caps)
+    first = flow.min_cut(net)
+    assert first == flow.CutResult(value + 2, (*cut, len(caps) - 3))
+    assert (net._ends, net._caps) == (ends, caps)
+    assert flow.min_cut(net) == first
+    assert (net._ends, net._caps) == (ends, caps)

@@ -916,6 +916,21 @@ def test_resilience_analyses_the_language_once(language, method, monkeypatch):
     assert calls["language_words"] <= 1
 
 
+def test_resilience_runs_the_bcl_analysis_once(monkeypatch):
+    calls = []
+
+    def counting(words, _real=classifier.bcl_analysis):
+        calls.append(words)
+        return _real(words)
+
+    monkeypatch.setattr(classifier, "bcl_analysis", counting)
+    db = graphdb.parse_db("u a v\nv b w\np b q\nq c r\n")
+    answer = solvers.resilience(db, "ab|bc")
+    assert (answer.value, answer.method) == (2, "bcl")
+    assert len(calls) == 1
+    assert answer == solvers.resilience_bcl(db, "ab|bc")
+
+
 # ---------------------------------------------------------------------------
 # BCL solver
 
