@@ -696,9 +696,14 @@ def is_local_language(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether L(A) is a local language.
 
     The read-once envelope always accepts a superset, so locality amounts
-    to the reverse inclusion.
+    to the reverse inclusion.  The answer is kept on A, outside the fields,
+    so the classifier and the local solver test it once; a resource cap
+    keeps nothing.
     """
-    return is_subset(eps_nfa_to_ro(A), A, state_cap)
+    found = vars(A).get("_local")
+    if found is None:
+        found = vars(A)["_local"] = is_subset(eps_nfa_to_ro(A), A, state_cap)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -370,10 +370,8 @@ def _finite_verdict(words: frozenset, reduced: EpsNFA, state_cap: int) -> Verdic
     return Verdict(UNKNOWN, None, "unclassified", None)
 
 
-def _infinite_verdict(
-    A: EpsNFA, reduced: EpsNFA, state_cap: int, monoid_cap: int
-) -> Verdict:
-    periodic = automata.non_aperiodic_witness(reduced, monoid_cap, state_cap)
+def _infinite_verdict(A: EpsNFA, reduced: EpsNFA, state_cap: int) -> Verdict:
+    periodic = automata.non_aperiodic_witness(reduced, state_cap=state_cap)
     if periodic is not None:
         word, period = periodic
         witness = {
@@ -421,7 +419,6 @@ def analyse(
     spec,
     *,
     state_cap: int = automata.DEFAULT_STATE_CAP,
-    monoid_cap: int = automata.DEFAULT_MONOID_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Analysis:
     """Reduce the language once and walk the criteria over the result."""
@@ -438,7 +435,7 @@ def analyse(
             )
             verdict = _finite_verdict(words, reduced, state_cap)
             return Analysis(verdict, reduced, words)
-        verdict = _infinite_verdict(A, reduced, state_cap, monoid_cap)
+        verdict = _infinite_verdict(A, reduced, state_cap)
         return Analysis(verdict, reduced, None)
     except ResourceCapError as exc:
         verdict = Verdict(UNKNOWN, None, f"resource cap: {exc}", None)
@@ -449,10 +446,7 @@ def classify(
     spec,
     *,
     state_cap: int = automata.DEFAULT_STATE_CAP,
-    monoid_cap: int = automata.DEFAULT_MONOID_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> Verdict:
     """Full pipeline over a regex string, Regex, word set, or automaton."""
-    return analyse(
-        spec, state_cap=state_cap, monoid_cap=monoid_cap, enum_cap=enum_cap,
-    ).verdict
+    return analyse(spec, state_cap=state_cap, enum_cap=enum_cap).verdict

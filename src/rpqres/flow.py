@@ -10,8 +10,8 @@ target 1, and stores edge ``k`` as the residual slots ``2k`` (forward)
 and ``2k + 1`` (reverse): one array of slot ends, one of capacities.
 ``add_edge`` numbers the ends of one edge at a time.  The product-network
 builder in ``solvers`` reaches the useful part of a product, merges its
-attachments into the terminals and writes all its edges, numbered in the
-same order, in one private call.  ``min_cut`` reads those arrays
+attachments into the terminals, numbers the vertices itself and writes
+all its edges in one private call.  ``min_cut`` reads those arrays
 directly.  Infinite capacities become one more than the sum of the finite
 ones, so a reach along such slots alone decides whether any finite cut
 exists; when one does, no flow can saturate them.  Dinic's algorithm then

@@ -193,10 +193,10 @@ def _reach_network(roles, starts, moves):
     A product vertex is a pair of a layer, a small int, and a node.
     ``roles[layer]`` is 0 if the layer's vertices are attached from the
     source by unbounded edges, 1 if they are attached to the target and -1
-    otherwise.  An arc is a ``(layer, node, order, facts, mult)`` tuple
-    naming its head: a capacity-``mult`` edge tagged with the tuple of
-    facts that cutting it removes, or an unbounded edge if ``facts`` is
-    None.  ``starts`` lists the arcs out of the source attachments and
+    otherwise.  An arc is a ``(layer, node, facts, mult)`` tuple naming
+    its head: a capacity-``mult`` edge tagged with the tuple of facts that
+    cutting it removes, or an unbounded edge if ``facts`` is None.
+    ``starts`` lists the arcs out of the source attachments and
     ``moves[layer](node)`` those out of an unattached vertex, if any.
 
     Each attachment merges into its terminal, and arcs that would then
@@ -206,14 +206,15 @@ def _reach_network(roles, starts, moves):
     kept: the flow runs along such paths only, and the source side of that
     cut loses only vertices no cut edge touches.  A reach forward from
     ``starts``, never stepping onto an unattached vertex without arcs out,
-    records the arcs such a path can use; a reach backward over them from
-    the target keeps the useful ones, and only those vertices are
-    numbered: the source 0, the target 1 and the rest on first use, head
-    before tail, as the kept edges are written in increasing ``order``.
+    files each arc it can use under its head.  A reach backward from the
+    target then writes every arc filed under each vertex it takes, and
+    numbers each tail the first time it meets one: the source 0, the
+    target 1 and the rest 2, 3, ... in that order.  The edge order thus
+    follows the reach, not the database; the value and the cut facts do
+    not depend on it.
     """
     seen = [{} for _ in roles]  # per layer: node -> reached vertex, 0 if dead
-    into: list[list[int]] = [[], []]  # per reached vertex: its recorded arcs
-    recorded = []  # per recorded arc: (order, tail, head, arc)
+    into: list[list] = [[], []]  # per reached vertex: (tail, arc) per arc into it
     stack = [(0, starts)]
     while stack:
         v, out = stack.pop()
@@ -229,31 +230,25 @@ def _reach_network(roles, starts, moves):
                         into.append([])
                         stack.append((w, onward))
             if w:
-                into[w].append(len(recorded))
-                recorded.append((arc[2], v, w, arc))
+                into[w].append((v, arc))
 
-    kept = []
-    stack, into[1] = [into[1]], None  # None once the vertex is known useful
-    while stack:
-        for a in stack.pop():
-            kept.append(recorded[a])
-            v = recorded[a][1]
-            if into[v] is not None:
-                stack.append(into[v])
-                into[v] = None
-    kept.sort(key=lambda r: r[0])
     number = [0, 1] + [-1] * (len(into) - 2)
     vertices, ends = [], []  # the reached vertex numbered 2 + i; head, tail per edge
     caps, tag = [], {}
-    for _, tail, head, arc in kept:
-        for v in (head, tail):
-            if number[v] < 0:
-                number[v] = len(vertices) + 2
-                vertices.append(v)
-        ends += (number[head], number[tail])
-        if arc[3] is not None:
-            tag[len(caps)] = arc[3]
-        caps.append(INF if arc[3] is None else arc[4])
+    heads = [1]
+    while heads:
+        head = heads.pop()
+        for tail, (_, _, facts, m) in into[head]:
+            if number[tail] < 0:
+                number[tail] = len(vertices) + 2
+                vertices.append(tail)
+                heads.append(tail)
+            ends += (number[head], number[tail])
+            if facts is None:
+                caps.append(INF)
+            else:
+                tag[len(caps)] = facts
+                caps.append(m)
     net = flow.FlowNetwork("source", "target")
     net._add_numbered(vertices, ends, caps)
     return net, tag
@@ -276,14 +271,14 @@ def resilience_local(
     db: GraphDB,
     language: LanguageSpec,
     *,
-    promise_local: bool = False,
     state_cap: int = automata.DEFAULT_STATE_CAP,
 ) -> ResilienceAnswer:
     """Min-cut solver for local languages.
 
     The network pairs database nodes with states of the minimal read-once
-    envelope of the automaton, built once and kept on it, so a call on
-    the reduced DFA that the classifier tested reuses that build.  Each
+    envelope of the automaton.  The envelope and the locality test are
+    kept on the automaton, so a call on the reduced DFA that the
+    classifier tested reuses both and does not test again.  Each
     fact yields one capacity-mult edge along the unique transition
     carrying its label; epsilon transitions, source attachments to initial
     states and target attachments from final states are unbounded.
@@ -300,7 +295,7 @@ def resilience_local(
     A = automata.automaton_for(language)
     if automata.accepts(A, ()):
         return ResilienceAnswer(INF, None, "local")
-    if not promise_local and not automata.is_local_language(A, state_cap):
+    if not automata.is_local_language(A, state_cap):
         raise SolverRefusal(
             "the language is not local, so the read-once reduction"
             " would overapproximate it"
@@ -320,14 +315,14 @@ def resilience_local(
             follow.setdefault(layer[src], []).append(layer[dst])
         else:
             letter_arc[label] = (out[layer[src]], layer[dst])
-    for pos, (fact, m) in enumerate(db.entries):
+    for fact, m in db.entries:
         hit = letter_arc.get(fact.label)
         if hit is not None:
-            hit[0].setdefault(fact.tail, []).append((hit[1], fact.head, pos, (fact,), m))
+            hit[0].setdefault(fact.tail, []).append((hit[1], fact.head, (fact,), m))
 
     def with_epsilon(table, nxt):
         return lambda node: [*table.get(node, ()), *(
-            (y, node, len(db) + r, None, None) for r, y in enumerate(nxt) if node in out[y]
+            (y, node, None, None) for y in nxt if node in out[y]
         )]
 
     moves = [with_epsilon(t, follow[q]) if q in follow else t.get for q, t in enumerate(out)]
@@ -401,22 +396,19 @@ def _bcl_cut(db: GraphDB, words: frozenset, source_side) -> ResilienceAnswer:
         layers[x][x not in source_side] = 0 if x in source_side else 2
     # a forward word steps from an x fact's end to the start of a y fact at
     # its head, a backward one from a y fact's end to the start of an x fact
-    # at its tail; these edges follow the fact edges, by step, x and y fact
-    entries, n = db.entries, len(db)
-    steps: dict = {x: [] for x in letters}  # letter -> (layer, facts by node, forward, order)
+    # at its tail
+    entries = db.entries
+    steps: dict = {x: [] for x in letters}  # letter -> (layer, facts by node, forward)
     by_tail: dict = {x: {} for x in letters}
     by_head: dict = {}
-    order = n  # of the next step's first unbounded edge
     for w in long_words:
         forward = w[0] in source_side
         for x, y in zip(w, w[1:]):
             if x in layers and y in layers:
                 if forward:
-                    steps[x].append((layers[y][0], by_tail[y], True, (n, 1, order)))
+                    steps[x].append((layers[y][0], by_tail[y], True))
                 else:
-                    step = (layers[x][0], by_head.setdefault(x, {}), False, (1, n, order))
-                    steps[y].append(step)
-            order += n * n
+                    steps[y].append((layers[x][0], by_head.setdefault(x, {}), False))
     for j, (fact, _) in enumerate(entries):
         if fact.label in by_tail:
             by_tail[fact.label].setdefault(fact.tail, []).append(j)
@@ -427,19 +419,18 @@ def _bcl_cut(db: GraphDB, words: frozenset, source_side) -> ResilienceAnswer:
         fact, m = entries[j]
         end = layers[fact.label][1]
         if end == 3:  # a fact whose end has no step on is no use
-            for _, index, forward, _ in steps[fact.label]:
+            for _, index, forward in steps[fact.label]:
                 if (fact.head if forward else fact.tail) in index:
                     break
             else:
                 return ()
-        return ((end, j, j, (fact,), m),)
+        return ((end, j, (fact,), m),)
 
     def steps_on(j):
         fact, arcs = entries[j][0], []
-        for nxt, index, forward, (by_j, by_k, order) in steps[fact.label]:
-            order += j * by_j
+        for nxt, index, forward in steps[fact.label]:
             found = index.get(fact.head if forward else fact.tail, ())
-            arcs += [(nxt, k, order + k * by_k, None, None) for k in found]
+            arcs += [(nxt, k, None, None) for k in found]
         return arcs
 
     roles, moves = [0, -1, 1, -1], [fact_edge, fact_edge, steps_on, steps_on]
@@ -486,10 +477,10 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
     level = {letter: k for k, letter in enumerate(word[:-1])}
     # per node: the a_{n-1} facts into it, the e and the a_n facts out of it
     into, out, out_last = {}, {}, {}
-    for pos, (fact, m) in enumerate(db.entries):
+    for fact, m in db.entries:
         k = level.get(fact.label)
         if k is not None:
-            tables[k].setdefault(fact.tail, []).append((k + 1, fact.head, pos, (fact,), m))
+            tables[k].setdefault(fact.tail, []).append((k + 1, fact.head, (fact,), m))
             if k + 1 == last:
                 into.setdefault(fact.head, []).append(fact)
         elif fact.label == extra:
@@ -500,15 +491,13 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
     def cost(facts):
         return sum(db.mult(f) for f in facts)
 
-    order = len(db)  # the exit and entry edges follow the fact edges, by node
-    for v in sorted(into):
+    for v, entering in into.items():
         leaving = out.get(v, []) + out_last.get(v, [])
         if leaving:
-            cheaper = min(into[v], leaving, key=cost)
-            tables[last][v] = [(last + 1, v, order, tuple(cheaper), cost(cheaper))]
+            cheaper = min(entering, leaving, key=cost)
+            tables[last][v] = [(last + 1, v, tuple(cheaper), cost(cheaper))]
             if v in out:
-                tables[last + 2][v] = [(last, v, order + 1, tuple(out[v]), cost(out[v]))]
-            order += 2
+                tables[last + 2][v] = [(last, v, tuple(out[v]), cost(out[v]))]
     starts = [arc for k in (0, last + 2) for arcs in tables[k].values() for arc in arcs]
     moves = [table.get for table in tables]
     value, contingency = _cut_facts(*_reach_network(roles, starts, moves))
@@ -585,7 +574,7 @@ def resilience(
     verdict = analysis.verdict
     if verdict.status == classifier.PTIME:
         if verdict.method == "local":
-            return resilience_local(db, analysis.reduced, promise_local=True)
+            return resilience_local(db, analysis.reduced)
         if verdict.method == "bcl":
             return _bcl_cut(db, analysis.words, frozenset(verdict.witness["sides"][0]))
         return _submod_dispatch(db, analysis.words)

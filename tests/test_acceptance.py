@@ -106,9 +106,7 @@ def _zone_objective(db, word, extra, zone):
             total += mult
         if not (fact.label == a_last and fact.tail in zone):
             kept[fact] = mult
-    rest = solvers.resilience_local(
-        GraphDB.from_pairs(kept), [word], promise_local=True
-    )
+    rest = solvers.resilience_local(GraphDB.from_pairs(kept), [word])
     return total + rest.value
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -251,6 +252,33 @@ def test_automaton_to_ro_ignores_hash_seeds():
         assert outputs[0] == outputs[1] == run(
             "automaton", "--to-ro", regex
         ).output.encode()
+
+
+def test_resilience_ignores_hash_seeds(tmp_path):
+    """The local, bcl and submod networks are numbered as the reach meets
+    their vertices; the answer printed stays the same under any seed."""
+    rng = random.Random(23)
+    facts = {
+        f"n{rng.randrange(8)} {rng.choice('abcdex')} n{rng.randrange(8)}": rng.randint(1, 2)
+        for _ in range(60)
+    }
+    db = tmp_path / "random.db"
+    write(db, "".join(f"{fact} {m}\n" for fact, m in facts.items()))
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    for regex in ("ax*b", "ab|ad|cd", "ab|bc|cd", "abc|be"):
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "rpqres.cli", "resilience", "--json",
+                 "--witness", regex, str(db)],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] == run(
+            "resilience", "--json", "--witness", regex, str(db)
+        ).output.encode()
+        assert json.loads(outputs[0])["contingency"], regex
 
 
 def test_automaton_reduce_roundtrip():
