@@ -42,8 +42,9 @@ class GraphDB:
             pairs = pairs.items()
         collected: dict[Fact, int] = {}
         for fact, mult in pairs:
-            fact = Fact(*fact)
-            if not isinstance(mult, int) or mult < 1:
+            if not isinstance(fact, Fact):
+                fact = Fact(*fact)
+            if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity of {fact.render()} must be a positive integer")
             if mult > MAX_MULT:
                 raise InputError(f"multiplicity of {fact.render()} exceeds 2^64-1")
@@ -55,7 +56,7 @@ class GraphDB:
     @classmethod
     def from_facts(cls, facts: Iterable) -> "GraphDB":
         """Set-semantics constructor: every fact gets multiplicity 1."""
-        return cls.from_pairs((Fact(*f), 1) for f in facts)
+        return cls.from_pairs((f, 1) for f in facts)
 
     def facts(self) -> tuple[Fact, ...]:
         return tuple(f for f, _ in self.entries)
@@ -101,9 +102,9 @@ class GraphDB:
 
 def mirror_db(db: GraphDB) -> GraphDB:
     """Reverse every fact, keeping labels and multiplicities."""
-    return GraphDB.from_pairs(
-        (Fact(f.head, f.label, f.tail), m) for f, m in db.entries
-    )
+    return GraphDB(tuple(sorted(
+        (Fact(head, label, tail), m) for (tail, label, head), m in db.entries
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +112,36 @@ def mirror_db(db: GraphDB) -> GraphDB:
 
 
 def parse_db(text: str) -> GraphDB:
-    """One fact per line: ``tail label head [mult]``; ``#`` comments."""
-    pairs = []
-    seen = set()
+    """One fact per line: ``tail label head [mult]``; ``#`` comments.
+
+    Lines break where ``str.splitlines`` breaks them and fields are split
+    on any whitespace.  Each line is checked once, in this order: its
+    field count, whether its fact repeats an earlier one, its
+    multiplicity.  The first bad line raises ``InputError``.
+    """
+    mults: dict[Fact, int] = {}
+    make = Fact._make
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        fields = raw.split()
+        if len(fields) == 3:
+            fact = make(fields)
+        elif len(fields) == 4:
+            fact = make(fields[:3])
+        elif not fields:
             continue
-        fields = line.split()
-        if len(fields) not in (3, 4):
+        else:
             raise InputError(
-                f"line {lineno}: expected 'tail label head [mult]', got {line!r}"
+                f"line {lineno}: expected 'tail label head [mult]', got {raw.strip()!r}"
             )
-        fact = Fact(fields[0], fields[1], fields[2])
-        if fact in seen:
+        size = len(mults)
+        mults[fact] = 1
+        if len(mults) == size:
             raise InputError(
                 f"line {lineno}: duplicate fact {fact.render()}"
                 " (state the multiplicity once)"
             )
-        seen.add(fact)
-        mult = 1
         if len(fields) == 4:
             try:
                 mult = int(fields[3])
@@ -140,8 +151,8 @@ def parse_db(text: str) -> GraphDB:
                 raise InputError(f"line {lineno}: multiplicity must be at least 1")
             if mult > MAX_MULT:
                 raise InputError(f"line {lineno}: multiplicity exceeds 2^64-1")
-        pairs.append((fact, mult))
-    return GraphDB.from_pairs(pairs)
+            mults[fact] = mult
+    return GraphDB(tuple(sorted(mults.items())))
 
 
 def serialize_db(db: GraphDB) -> str:

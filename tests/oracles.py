@@ -308,6 +308,56 @@ def brzozowski_minimal(A) -> Fields:
     return Fields(*subset_construction(_reversed(once)))
 
 
+def two_pass_parse_db(text):
+    """The database text format read in two passes, as sorted
+    ``((tail, label, head), mult)`` pairs.
+
+    The first pass checks each line (field count, then a repeated fact,
+    then the multiplicity) and collects its pair; the second checks every
+    pair again while collecting them into a dict.  A bad input raises
+    ``ValueError`` with the message the library's ``InputError`` carries.
+    """
+    pairs = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) not in (3, 4):
+            raise ValueError(
+                f"line {lineno}: expected 'tail label head [mult]', got {line!r}"
+            )
+        fact = tuple(fields[:3])
+        if fact in seen:
+            raise ValueError(
+                f"line {lineno}: duplicate fact {' '.join(fact)}"
+                " (state the multiplicity once)"
+            )
+        seen.add(fact)
+        mult = 1
+        if len(fields) == 4:
+            try:
+                mult = int(fields[3])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad multiplicity {fields[3]!r}") from None
+            if mult < 1:
+                raise ValueError(f"line {lineno}: multiplicity must be at least 1")
+            if mult > 2**64 - 1:
+                raise ValueError(f"line {lineno}: multiplicity exceeds 2^64-1")
+        pairs.append((fact, mult))
+    collected = {}
+    for fact, mult in pairs:
+        if not isinstance(mult, int) or mult < 1:
+            raise ValueError(f"multiplicity of {' '.join(fact)} must be a positive integer")
+        if mult > 2**64 - 1:
+            raise ValueError(f"multiplicity of {' '.join(fact)} exceeds 2^64-1")
+        if fact in collected:
+            raise ValueError(f"duplicate fact {' '.join(fact)}")
+        collected[fact] = mult
+    return tuple(sorted(collected.items()))
+
+
 def brute_satisfies(db, A) -> bool:
     """Whether some walk of db spells a word of L(A).
 

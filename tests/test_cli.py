@@ -101,6 +101,34 @@ def test_resilience_stdin_and_witness():
     assert lines[2] == "u a v"
 
 
+def test_resilience_reads_any_line_ending_and_separator():
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def resilience(stdin):
+        return subprocess.run(
+            [sys.executable, "-m", "rpqres.cli", "resilience", "--json",
+             "--witness", "ax*b", "-"],
+            env=env, input=stdin, capture_output=True,
+        )
+
+    plain = resilience(b"u a v\nv x w 3\nw b z 4\nu a w 2\n")
+    assert plain.returncode == 0, plain.stderr
+    assert json.loads(plain.stdout)["value"] == 3
+    messy = resilience(
+        b"# a chain\r\nu\ta\tv\r\n\r\nv x\tw 3  # middle\r\n"
+        b"\tw b z 4\r\n# a shortcut\r\nu a w\t2\r\n"
+    )
+    assert messy.returncode == 0, messy.stderr
+    assert messy.stdout == plain.stdout
+    duplicate = resilience(b"u a v\nv x w 3\nu a v\nw b z\n")
+    assert duplicate.returncode == 2
+    assert duplicate.stdout == b""
+    assert duplicate.stderr.decode() == (
+        "error: line 3: duplicate fact u a v (state the multiplicity once)\n"
+    )
+
+
 def test_resilience_epsilon_is_inf(tmp_path):
     db = tmp_path / "chain.db"
     write(db, CHAIN_DB)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from rpqres import automata, graphdb, lang
@@ -31,6 +32,20 @@ def test_multiplicity_validation():
         GraphDB.from_pairs([(Fact("u", "a", "v"), 0)])
     with pytest.raises(InputError):
         GraphDB.from_pairs([(Fact("u", "a", "v"), -3)])
+
+
+def test_multiplicity_refuses_bools():
+    for flag in (True, False):
+        with pytest.raises(InputError, match="positive integer"):
+            GraphDB.from_pairs({("a", "x", "b"): flag})
+
+
+def test_constructors_keep_the_facts_they_are_given():
+    fact = Fact("u", "a", "v")
+    assert GraphDB.from_facts([fact]).entries[0][0] is fact
+    assert GraphDB.from_pairs({fact: 2}).entries[0][0] is fact
+    built = GraphDB.from_facts([("v", "b", "w")]).entries[0][0]
+    assert type(built) is Fact and built == ("v", "b", "w")
 
 
 def test_basic_accessors():
@@ -75,6 +90,74 @@ def test_parse_db_diagnostics():
         graphdb.parse_db("u a v 0\n")
     with pytest.raises(InputError, match="duplicate"):
         graphdb.parse_db("u a v\nu a v 2\n")
+
+
+def test_parse_db_reports_the_first_bad_line():
+    with pytest.raises(InputError, match="^line 2: bad multiplicity 'x'$"):
+        graphdb.parse_db("u a v\nu a w x\nu a\nu a v\n")
+    with pytest.raises(InputError, match="^line 3: expected"):
+        graphdb.parse_db("# header\n\nu a v w 1\nu a w x\n")
+
+
+def test_parse_db_reports_a_repeated_fact_before_its_multiplicity():
+    with pytest.raises(InputError) as info:
+        graphdb.parse_db("u a v\nu a v 0\n")
+    assert str(info.value) == (
+        "line 2: duplicate fact u a v (state the multiplicity once)"
+    )
+
+
+# database texts in the shapes the format allows and the ways it goes
+# wrong: few names, so facts repeat; any whitespace between fields; every
+# line break that str.splitlines honours; comments and blank lines
+NAMES = st.sampled_from(["u", "v", "w", "a", "b"])
+MULTS = st.sampled_from([
+    "1", "2", "3", "+3", "1_000", str(2**64 - 1),
+    "2", "3", "+3", "1_000",
+    "0", "-1", "x", "2**64", str(2**64),
+])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", " \t"])
+BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\x1e"])
+
+
+@st.composite
+def db_lines(draw):
+    kind = draw(st.sampled_from(["fact"] * 6 + ["comment", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+    if kind == "comment":
+        return "#" + draw(st.sampled_from(["", " u a v", "#", " x y"]))
+    size = draw(st.sampled_from([3, 3, 3, 4, 4, 5]))
+    fields = [draw(NAMES) for _ in range(3)] + [draw(MULTS) for _ in range(size - 3)]
+    line = fields[0]
+    for field in fields[1:]:
+        line += draw(SEPARATORS) + field
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(
+        st.sampled_from(["", "", " ", "# note", " #u a v 2"])
+    )
+
+
+@st.composite
+def db_texts(draw):
+    text = ""
+    for line in draw(st.lists(db_lines(), max_size=8)):
+        text += line + draw(BREAKS)
+    return text[: -1] if text and draw(st.booleans()) else text
+
+
+@given(db_texts())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_parse_db_matches_the_two_pass_reference(text):
+    try:
+        expected = oracles.two_pass_parse_db(text)
+    except ValueError as exc:
+        with pytest.raises(InputError) as info:
+            graphdb.parse_db(text)
+        assert str(info.value) == str(exc)
+    else:
+        entries = graphdb.parse_db(text).entries
+        assert entries == expected
+        assert all(type(f) is Fact and type(m) is int for f, m in entries)
 
 
 def test_serialize_is_sorted_and_stable():
