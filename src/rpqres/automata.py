@@ -35,7 +35,8 @@ from .lang import Word
 EPS = None
 
 DEFAULT_STATE_CAP = 100_000
-DEFAULT_MONOID_CAP = 100_000
+DEFAULT_ENUM_CAP = 10_000
+MONOID_CAP = 100_000
 
 class Tables(NamedTuple):
     """Lookup tables of one automaton, read through its epsilon moves.  In
@@ -76,9 +77,6 @@ class EpsNFA:
         if "_tables" not in vars(self):
             vars(self)["_tables"] = _build_tables(self)
         return vars(self)["_tables"]
-
-    def size(self) -> int:
-        return len(self.states) + len(self.transitions)
 
 
 def make_nfa(states, initial, final, transitions, alphabet=()) -> EpsNFA:
@@ -537,16 +535,20 @@ def is_finite_language(A: EpsNFA) -> bool:
 def language_words(
     A: EpsNFA,
     max_len: Optional[int] = None,
-    max_words: Optional[int] = None,
+    max_words: int = DEFAULT_ENUM_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[Word]:
     """Enumerate accepted words in sorted order.
 
-    With max_len None the language must be finite.  max_words caps the
-    count and raises a resource error beyond it.
+    With max_len None the language must be finite.  More than max_words
+    words raise a resource error, checked after each length.  For a
+    finite language so do more than max_words prefixes of one length,
+    before they are extended: in the trim DFA each prefix extends to a
+    word of the language that no other prefix of its length reaches.
     """
     D = trim(A if is_deterministic(A) else determinize(A, state_cap))
-    if max_len is None:
+    finite = max_len is None
+    if finite:
         if not is_finite_language(D):
             raise InputError("cannot enumerate an infinite language without a length cap")
         max_len = len(D.states)
@@ -559,16 +561,16 @@ def language_words(
         for word, state in frontier:
             if state in D.final:
                 words.append(word)
-                if max_words is not None and len(words) > max_words:
-                    raise ResourceCapError(
-                        f"word enumeration exceeded the {max_words}-word cap"
-                    )
             if length < max_len:
                 for letter, targets in after.get(state, _NO_MOVES).items():
                     for t in targets:
                         next_frontier.append((word + (letter,), t))
         frontier = next_frontier
         length += 1
+        if len(words) > max_words or (finite and len(frontier) > max_words):
+            raise ResourceCapError(
+                f"word enumeration exceeded the {max_words}-word cap"
+            )
     return sorted(words)
 
 
@@ -795,9 +797,7 @@ def is_neutral_letter(
 
 
 def non_aperiodic_witness(
-    A: EpsNFA,
-    monoid_cap: int = DEFAULT_MONOID_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP
 ) -> Optional[tuple[Word, int]]:
     """A word whose transition map has power period > 1 in the transition
     monoid of the minimal DFA, or None when every element is aperiodic."""
@@ -833,9 +833,9 @@ def non_aperiodic_witness(
         for a, g in generators:
             composed = compose(m, g)
             if composed not in elements:
-                if len(elements) >= monoid_cap:
+                if len(elements) >= MONOID_CAP:
                     raise ResourceCapError(
-                        f"transition monoid exceeded the {monoid_cap}-element cap"
+                        f"transition monoid exceeded the {MONOID_CAP}-element cap"
                     )
                 elements[composed] = elements[m] + (a,)
                 queue.append(composed)

@@ -24,8 +24,6 @@ PTIME = "PTIME"
 NP_HARD = "NP_HARD"
 UNKNOWN = "UNKNOWN"
 
-DEFAULT_ENUM_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -416,10 +414,7 @@ class Analysis(NamedTuple):
 
 
 def analyse(
-    spec,
-    *,
-    state_cap: int = automata.DEFAULT_STATE_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    spec, *, state_cap: int = automata.DEFAULT_STATE_CAP
 ) -> Analysis:
     """Reduce the language once and walk the criteria over the result."""
     A = automata.automaton_for(spec)
@@ -430,8 +425,7 @@ def analyse(
             return Analysis(verdict, reduced, None)
         if automata.is_finite_language(reduced):
             words = frozenset(
-                automata.language_words(reduced, max_words=enum_cap,
-                                        state_cap=state_cap)
+                automata.language_words(reduced, state_cap=state_cap)
             )
             verdict = _finite_verdict(words, reduced, state_cap)
             return Analysis(verdict, reduced, words)
@@ -443,10 +437,7 @@ def analyse(
 
 
 def classify(
-    spec,
-    *,
-    state_cap: int = automata.DEFAULT_STATE_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
+    spec, *, state_cap: int = automata.DEFAULT_STATE_CAP
 ) -> Verdict:
     """Full pipeline over a regex string, Regex, word set, or automaton."""
-    return analyse(spec, state_cap=state_cap, enum_cap=enum_cap).verdict
+    return analyse(spec, state_cap=state_cap).verdict

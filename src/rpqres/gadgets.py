@@ -23,7 +23,7 @@ from .errors import InputError, ResourceCapError
 from .graphdb import Fact, GraphDB
 from .lang import Word
 
-DEFAULT_NODE_BUDGET = 16
+NODE_BUDGET = 16
 VC_CAP = 20
 
 
@@ -197,17 +197,13 @@ def _dominated_vertices(vertices, edges, protected):
     for e in edges:
         for v in e:
             incident[v].add(e)
+    order = sorted(vertices)
     out = []
-    for v in sorted(vertices):
+    for v in order:
         if v in protected:
             continue
         dominator = next(
-            (
-                w
-                for w in sorted(vertices)
-                if w != v and incident[v] <= incident[w]
-            ),
-            None,
+            (w for w in order if w != v and incident[v] <= incident[w]), None
         )
         if dominator is not None:
             out.append((v, dominator))
@@ -222,82 +218,55 @@ def _strip_vertex(vertices, edges, v):
 
 
 def condense(
-    H: MatchHypergraph,
-    protected: frozenset = frozenset(),
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    H: MatchHypergraph, protected: frozenset = frozenset()
 ) -> CondensationResult:
     """Search for a condensation of H into an odd f_in..f_out path.
 
     Superset hyperedges are dropped eagerly: that normal form neither
-    disables nor fabricates node-dominations, so the memoized backtracking
-    over which dominated vertex to strip next is exhaustive, and a failed
-    search within the node budget disproves existence.  Above the budget a
-    greedy pass runs instead and failure is only inconclusive.
+    disables nor fabricates node-dominations, so a depth-first search over
+    which dominated vertex to strip next, skipping vertex sets met before,
+    is exhaustive, and a failed search within the node budget disproves
+    existence.  Above the budget each state tries only its first dominated
+    vertex, a greedy pass whose failure is only inconclusive.
+
+    Each stack frame holds a state (vertices, edges, the steps that led to
+    it) and its dominated vertices not yet tried.
     """
-    steps: list = []
-    edges = _edge_domination(H.vertices, H.edges, steps)
+    trace: list = []
     vertices = H.vertices
-
-    def found(v, e, trace):
-        path = _odd_path(v, e, H.f_in, H.f_out)
-        if path is None:
-            return None
-        return CondensationResult("path", tuple(trace), v, e, path)
-
-    hit = found(vertices, edges, steps)
-    if hit is not None:
-        return hit
-
-    if len(vertices) <= node_budget:
-        memo = set()
-
-        def search(v, e, trace):
-            for victim, dominator in _dominated_vertices(v, e, protected):
-                new_v, stripped = _strip_vertex(v, e, victim)
-                if new_v in memo:
-                    continue
-                memo.add(new_v)
-                branch = list(trace)
-                branch.append(
-                    CondensationStep(
-                        "node-domination", victim, dominator,
-                        v, e, new_v, stripped,
-                    )
-                )
-                new_e = _edge_domination(new_v, stripped, branch)
-                hit = found(new_v, new_e, branch)
-                if hit is None:
-                    hit = search(new_v, new_e, branch)
-                if hit is not None:
-                    return hit
-            return None
-
-        hit = search(vertices, edges, steps)
-        if hit is not None:
-            return hit
-        return CondensationResult(
-            "exhausted", tuple(steps), vertices, edges, None
-        )
-
+    edges = _edge_domination(vertices, H.edges, trace)
+    width = None if len(vertices) <= NODE_BUDGET else 1
+    stack, seen = [], set()
     while True:
-        candidates = _dominated_vertices(vertices, edges, protected)
-        if not candidates:
-            return CondensationResult(
-                "budget", tuple(steps), vertices, edges, None
+        path = _odd_path(vertices, edges, H.f_in, H.f_out)
+        if path is not None:
+            return CondensationResult("path", tuple(trace), vertices, edges, path)
+        untried = _dominated_vertices(vertices, edges, protected)[:width]
+        stack.append((vertices, edges, trace, iter(untried)))
+        move = None
+        while move is None:
+            vertices, edges, trace, untried = stack[-1]
+            move = next(
+                (m for m in untried if vertices - {m[0]} not in seen), None
             )
-        victim, dominator = candidates[0]
+            if move is None:
+                stack.pop()
+                if width or not stack:
+                    status = "budget" if width else "exhausted"
+                    return CondensationResult(
+                        status, tuple(trace), vertices, edges, None
+                    )
+        victim, dominator = move
         new_vertices, stripped = _strip_vertex(vertices, edges, victim)
-        steps.append(
+        seen.add(new_vertices)
+        trace = trace + [
             CondensationStep(
                 "node-domination", victim, dominator,
                 vertices, edges, new_vertices, stripped,
             )
-        )
+        ]
         vertices = new_vertices
-        edges = _edge_domination(vertices, stripped, steps)
-        hit = found(vertices, edges, steps)
-        if hit is not None:
-            return hit
+        edges = _edge_domination(vertices, stripped, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +306,26 @@ def _finite_reduced_words(language) -> frozenset:
     return words
 
 
-def validate_gadget(
-    g: PreGadget,
-    language,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> GadgetReport:
+# condensation status -> report status and reason
+_REPORTS = {
+    "path": ("valid", None),
+    "exhausted": ("invalid", "no condensation to an odd path exists"),
+    "budget": (
+        "inconclusive",
+        "node budget exceeded and the greedy pass found no odd path",
+    ),
+}
+
+
+def validate_gadget(g: PreGadget, language) -> GadgetReport:
     words = _finite_reduced_words(language)
     completed, f_in, f_out = completion(g)
     H = build_match_hypergraph(completed, words, f_in, f_out)
-    result = condense(H, frozenset({f_in, f_out}), node_budget)
+    result = condense(H, frozenset({f_in, f_out}))
+    status, reason = _REPORTS[result.status]
+    length = None if result.path is None else len(result.edges)
     final = MatchHypergraph(result.vertices, result.edges, f_in, f_out)
-    if result.status == "path":
-        return GadgetReport(
-            "valid", len(result.edges), result.steps, None, H, final,
-            result.path,
-        )
-    if result.status == "exhausted":
-        return GadgetReport(
-            "invalid", None, result.steps,
-            "no condensation to an odd path exists", H, final, None,
-        )
-    return GadgetReport(
-        "inconclusive", None, result.steps,
-        "node budget exceeded and the greedy pass found no odd path",
-        H, final, None,
-    )
+    return GadgetReport(status, length, result.steps, reason, H, final, result.path)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +372,14 @@ def subdivide(
     return tuple(out)
 
 
-def vertex_cover_bruteforce(
-    edges: Iterable[tuple[str, str]], cap: int = VC_CAP
-) -> int:
+def vertex_cover_bruteforce(edges: Iterable[tuple[str, str]]) -> int:
     normalized = {(min(u, v), max(u, v)) for u, v in edges if u != v}
     forced = {u for u, v in edges if u == v}
     remaining = [e for e in normalized if not (set(e) & forced)]
     nodes = sorted({x for e in remaining for x in e})
-    if len(nodes) + len(forced) > cap:
+    if len(nodes) + len(forced) > VC_CAP:
         raise ResourceCapError(
-            f"vertex cover brute force capped at {cap} vertices"
+            f"vertex cover brute force capped at {VC_CAP} vertices"
         )
     for k in range(len(nodes) + 1):
         for chosen in itertools.combinations(nodes, k):
@@ -428,10 +390,7 @@ def vertex_cover_bruteforce(
 
 
 def hardness_roundtrip(
-    language,
-    g: PreGadget,
-    edges: Iterable[tuple[str, str]],
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    language, g: PreGadget, edges: Iterable[tuple[str, str]]
 ) -> bool:
     """Check the vertex-cover reduction end to end on an undirected graph.
 
@@ -439,7 +398,8 @@ def hardness_roundtrip(
     encoded, and solved exactly; the result must equal the graph's vertex
     cover number plus m(ell-1)/2 for the gadget's odd path length ell.
     """
-    report = validate_gadget(g, language, node_budget)
+    words = _finite_reduced_words(language)
+    report = validate_gadget(g, words)
     if not report.valid:
         raise InputError("the pre-gadget does not validate for this language")
     oriented = sorted({(min(u, v), max(u, v)) for u, v in edges if u != v})
@@ -447,7 +407,6 @@ def hardness_roundtrip(
     expected = vertex_cover_bruteforce(oriented) + len(oriented) * (
         report.odd_path_length - 1
     ) // 2
-    words = _finite_reduced_words(language)
     answer = solvers.resilience_exact(
         encoding, words,
         fact_cap=max(solvers.DEFAULT_EXACT_CAP, len(encoding)),
@@ -482,19 +441,6 @@ def builtin_gadgets() -> dict[str, PreGadget]:
     return {"aa": chain, "aaa": chain}
 
 
-_TOKEN = "a non-empty string without whitespace or #"
-
-
-def _is_token(value) -> bool:
-    """Whether a value can stand as one field of the database text format."""
-    return (
-        isinstance(value, str)
-        and value != ""
-        and "#" not in value
-        and not any(c.isspace() for c in value)
-    )
-
-
 def load_gadget(text: str) -> tuple[PreGadget, Optional[int]]:
     """Parse the JSON gadget document; returns the pre-gadget and the
     optional expected odd path length."""
@@ -509,13 +455,13 @@ def load_gadget(text: str) -> tuple[PreGadget, Optional[int]]:
         raise InputError(f"gadget file lacks {', '.join(sorted(missing))}")
     facts = doc["facts"]
     if not isinstance(facts, list) or not all(
-        isinstance(f, list) and len(f) == 3 and all(map(_is_token, f))
+        isinstance(f, list) and len(f) == 3 and all(map(graphdb.is_token, f))
         for f in facts
     ):
-        raise InputError(f"facts must be [tail, label, head] triples, each {_TOKEN}")
+        raise InputError(f"facts must be [tail, label, head] triples, each {graphdb.TOKEN}")
     for key in ("t_in", "t_out", "label"):
-        if not _is_token(doc[key]):
-            raise InputError(f"{key} must be {_TOKEN}")
+        if not graphdb.is_token(doc[key]):
+            raise InputError(f"{key} must be {graphdb.TOKEN}")
     expected = doc.get("expected_odd_length")
     if expected is not None and (
         isinstance(expected, bool)

@@ -21,6 +21,12 @@ from .errors import InputError
 from .lang import Word
 
 MAX_MULT = 2**64 - 1
+TOKEN = "a non-empty string without whitespace or #"
+
+
+def is_token(value) -> bool:
+    """Whether a value can stand as one field of the database text format."""
+    return isinstance(value, str) and "#" not in value and value.split() == [value]
 
 
 class Fact(NamedTuple):
@@ -42,8 +48,14 @@ class GraphDB:
             pairs = pairs.items()
         collected: dict[Fact, int] = {}
         for fact, mult in pairs:
+            if (
+                not isinstance(fact, (tuple, list))
+                or len(fact) != 3
+                or not all(map(is_token, fact))
+            ):
+                raise InputError(f"fact {fact!r} needs three fields, each {TOKEN}")
             if not isinstance(fact, Fact):
-                fact = Fact(*fact)
+                fact = Fact._make(fact)
             if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
                 raise InputError(f"multiplicity of {fact.render()} must be a positive integer")
             if mult > MAX_MULT:

@@ -512,11 +512,7 @@ def resilience_submod(db: GraphDB, word: Word, extra: str) -> ResilienceAnswer:
 def _finite_words(A: EpsNFA, state_cap: int) -> frozenset[Word]:
     if not automata.is_finite_language(A):
         raise SolverRefusal("this solver needs a finite language")
-    return frozenset(
-        automata.language_words(
-            A, max_words=classifier.DEFAULT_ENUM_CAP, state_cap=state_cap
-        )
-    )
+    return frozenset(automata.language_words(A, state_cap=state_cap))
 
 
 def _submod_dispatch(db: GraphDB, words: frozenset) -> ResilienceAnswer:
@@ -542,7 +538,6 @@ def resilience(
     *,
     semantics: str = "bag",
     solver: str = "auto",
-    fact_cap: int = DEFAULT_EXACT_CAP,
     state_cap: int = automata.DEFAULT_STATE_CAP,
 ) -> ResilienceAnswer:
     """Compute resilience, picking a solver from the classification.
@@ -560,7 +555,7 @@ def resilience(
     A = automata.automaton_for(language)
 
     if solver == "exact":
-        return resilience_exact(db, A, fact_cap)
+        return resilience_exact(db, A)
     if solver == "local":
         return resilience_local(db, A, state_cap=state_cap)
     if solver == "bcl":
@@ -579,11 +574,11 @@ def resilience(
             return _bcl_cut(db, analysis.words, frozenset(verdict.witness["sides"][0]))
         return _submod_dispatch(db, analysis.words)
 
-    if len(db) > fact_cap:
+    if len(db) > DEFAULT_EXACT_CAP:
         raise ResourceCapError(
             f"the language is not classified tractable ({verdict.status})"
             f" and the database has {len(db)} facts, over the exact-solver"
-            f" cap of {fact_cap}"
+            f" cap of {DEFAULT_EXACT_CAP}"
         )
     reduced = A if analysis.reduced is None else analysis.reduced
-    return resilience_exact(db, reduced, fact_cap)
+    return resilience_exact(db, reduced)

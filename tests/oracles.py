@@ -461,6 +461,118 @@ def brute_vertex_cover(edges) -> int:
     return brute_hitting_set([frozenset(e) for e in edges])
 
 
+def restarting_edge_domination(vertices, edges, steps) -> frozenset:
+    """Drop strict-superset hyperedges: rescan in sorted order after every
+    removal, and drop the first edge that has a strict subset, against
+    the first one.  Each removal is appended to ``steps`` as the tuple
+    ``("edge-domination", removed, subset, vertices, edges before,
+    vertices, edges after)``."""
+    current = set(edges)
+    while True:
+        ordered = sorted(current, key=sorted)
+        found = next(((e, o) for e in ordered for o in ordered if o < e), None)
+        if found is None:
+            return frozenset(current)
+        e, witness = found
+        before = frozenset(current)
+        current.remove(e)
+        steps.append(
+            ("edge-domination", e, witness, vertices, before, vertices, frozenset(current))
+        )
+
+
+def _walk_odd_path(vertices, edges, f_in, f_out):
+    """The vertex sequence of the hypergraph when it is one simple path of
+    odd length from f_in to f_out with all edges of size 2, else None."""
+    if f_in is None or f_out is None or f_in == f_out or not {f_in, f_out} <= vertices:
+        return None
+    if any(len(e) != 2 for e in edges) or len(edges) != len(vertices) - 1:
+        return None
+    if len(edges) % 2 == 0:
+        return None
+    sequence, rest = [f_in], set(edges)
+    while sequence[-1] != f_out:
+        leaving = [e for e in rest if sequence[-1] in e]
+        if len(leaving) != 1:
+            return None
+        rest.remove(leaving[0])
+        (following,) = leaving[0] - {sequence[-1]}
+        sequence.append(following)
+    if rest or len(sequence) != len(vertices):
+        return None
+    return tuple(sequence)
+
+
+def _dominated(vertices, edges, protected):
+    """(v, w) for each unprotected v whose incident edges all contain the
+    first w that differs from it; both in sorted order."""
+    out = []
+    for v in sorted(vertices):
+        if v in protected:
+            continue
+        mine = {e for e in edges if v in e}
+        for w in sorted(vertices):
+            if w != v and all(w in e for e in mine):
+                out.append((v, w))
+                break
+    return out
+
+
+def two_path_condense(vertices, edges, f_in, f_out, protected, budget):
+    """Condensation of a hypergraph towards an odd f_in..f_out path, by two
+    searches: a recursive backtracking search with a memo of the vertex
+    sets met, when there are at most ``budget`` vertices, and a greedy
+    loop that strips the first dominated vertex, above that.
+
+    Returns ``(status, steps, vertices, edges, path)`` with status
+    "path", "exhausted" or "budget"; each node-domination step is the
+    tuple ``("node-domination", removed, dominator, vertices before,
+    edges before, vertices after, edges after)``.
+    """
+    steps = []
+    edges = restarting_edge_domination(vertices, edges, steps)
+
+    def found(v, e, trace):
+        path = _walk_odd_path(v, e, f_in, f_out)
+        return None if path is None else ("path", tuple(trace), v, e, path)
+
+    def strip(v, e, victim, dominator, trace):
+        new_v, new_e = v - {victim}, frozenset(x - {victim} for x in e)
+        trace.append(("node-domination", victim, dominator, v, e, new_v, new_e))
+        return new_v, restarting_edge_domination(new_v, new_e, trace)
+
+    hit = found(vertices, edges, steps)
+    if hit is not None:
+        return hit
+    if len(vertices) <= budget:
+        memo = set()
+
+        def search(v, e, trace):
+            for victim, dominator in _dominated(v, e, protected):
+                if v - {victim} in memo:
+                    continue
+                memo.add(v - {victim})
+                branch = list(trace)
+                new_v, new_e = strip(v, e, victim, dominator, branch)
+                hit = found(new_v, new_e, branch) or search(new_v, new_e, branch)
+                if hit is not None:
+                    return hit
+            return None
+
+        hit = search(vertices, edges, steps)
+        if hit is not None:
+            return hit
+        return ("exhausted", tuple(steps), vertices, edges, None)
+    while True:
+        candidates = _dominated(vertices, edges, protected)
+        if not candidates:
+            return ("budget", tuple(steps), vertices, edges, None)
+        vertices, edges = strip(vertices, edges, *candidates[0], steps)
+        hit = found(vertices, edges, steps)
+        if hit is not None:
+            return hit
+
+
 def brute_letter_cartesian(words) -> bool:
     """Direct check of the exchange property: for every letter x and
     factorizations u = a x b, v = c x d in the language, a x d is too."""

@@ -324,6 +324,11 @@ def test_language_words_infinite_needs_cap():
 def test_language_words_word_cap():
     with pytest.raises(ResourceCapError):
         language_words(A("a|b|c|ab|ac"), max_words=3)
+    # the default cap: 10,000 words pass, and 11^4 = 14,641 are refused
+    # while the prefixes are still being extended
+    assert len(language_words(A("(a|b|c|d|e|f|g|h|i|j)" * 4))) == 10_000
+    with pytest.raises(ResourceCapError, match="10000-word cap"):
+        language_words(A("(a|b|c|d|e|f|g|h|i|j|k)" * 4))
 
 
 def test_is_finite_language():

@@ -365,7 +365,7 @@ def test_classify_accepts_word_lists_and_automata():
 
 
 def test_classify_reports_caps_as_unknown():
-    verdict = classify("ab|bc", enum_cap=10_000, state_cap=3)
+    verdict = classify("ab|bc", state_cap=3)
     assert verdict.status == UNKNOWN
     assert verdict.reason.startswith("resource cap")
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -209,6 +210,25 @@ def test_matches_long_word(tmp_path):
     assert result.exception is None
     assert result.output.count("|") == n - 1
     assert result.output.startswith("n0 a n1 | n1 a n2 |")
+
+
+@pytest.mark.parametrize("command", ["matches", "validate-gadget"])
+def test_word_enumeration_is_capped(tmp_path, command):
+    # (a|b) repeated 23 times has 2^23 words; the cap refuses it before
+    # the prefixes are extended that far
+    regex, target = "(a|b)" * 23, str(tmp_path / "target")
+    if command == "matches":
+        write(target, "u a v\n")
+        args = (regex, target)
+    else:
+        write(target, gadgets.save_gadget(gadgets.builtin_gadgets()["aa"]))
+        args = (target, regex)
+    start = time.perf_counter()
+    result = run(command, *args)
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: word enumeration exceeded the 10000-word cap\n"
 
 
 @pytest.mark.parametrize("command", ["resilience", "matches"])

@@ -1,12 +1,13 @@
 """Gadget validation: hypergraphs, condensation, encodings, round-trips."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 import oracles
-from rpqres import gadgets, lang
+from rpqres import automata, gadgets, lang
 from rpqres.errors import InputError, ResourceCapError
 from rpqres.gadgets import (
     MatchHypergraph,
@@ -142,26 +143,8 @@ def test_edge_domination_drops_supersets():
     assert frozenset({f}) in kept
 
 
-def _edge_domination_restarting(vertices, edges, steps) -> frozenset:
-    """The reference: rescan in sorted order after every removal, and drop
-    the first edge that has a strict subset, against the first one."""
-    current = set(edges)
-    while True:
-        ordered = sorted(current, key=sorted)
-        found = next(
-            ((e, o) for e in ordered for o in ordered if o < e), None
-        )
-        if found is None:
-            return frozenset(current)
-        e, witness = found
-        before = frozenset(current)
-        current.remove(e)
-        steps.append(
-            gadgets.CondensationStep(
-                "edge-domination", e, witness,
-                vertices, before, vertices, frozenset(current),
-            )
-        )
+def _step(step) -> tuple:
+    return tuple(getattr(step, f.name) for f in dataclasses.fields(step))
 
 
 def test_edge_domination_in_one_pass_matches_the_restarting_scan():
@@ -176,10 +159,46 @@ def test_edge_domination_in_one_pass_matches_the_restarting_scan():
         vertices = frozenset(facts)
         steps, reference = [], []
         kept = gadgets._edge_domination(vertices, frozenset(edges), steps)
-        assert kept == _edge_domination_restarting(vertices, edges, reference)
-        assert steps == reference
+        assert kept == oracles.restarting_edge_domination(vertices, edges, reference)
+        assert list(map(_step, steps)) == reference
         removals += len(steps)
     assert removals > 900
+
+
+def _random_hypergraph(rng):
+    """2-14 facts; most carry an odd f_in..f_out path of pairs, and every
+    one carries random extra edges, supersets of path edges among them."""
+    facts = [Fact(f"n{i}", "a", f"n{i + 1}") for i in range(rng.randint(2, 14))]
+    f_in, f_out = facts[0], facts[-1]
+    edges = set()
+    if rng.random() < 0.8:
+        inner = rng.sample(facts[1:-1], rng.randint(0, len(facts) - 2))
+        path = [f_in] + inner[: len(inner) // 2 * 2] + [f_out]
+        edges.update(frozenset(pair) for pair in zip(path, path[1:]))
+    for _ in range(rng.randint(0 if edges else 1, 6)):
+        extra = set(rng.sample(facts, rng.randint(1, min(3, len(facts)))))
+        if edges and rng.random() < 0.5:
+            extra.update(rng.choice(sorted(edges, key=sorted)))
+        edges.add(frozenset(extra))
+    return MatchHypergraph(frozenset(facts), frozenset(edges), f_in, f_out)
+
+
+def test_condense_matches_the_two_path_search(monkeypatch):
+    rng = random.Random(2500)
+    statuses = {"path": 0, "exhausted": 0, "budget": 0}
+    for trial in range(3_000):
+        budget = (3, 6, 9, 16)[trial % 4]
+        monkeypatch.setattr(gadgets, "NODE_BUDGET", budget)
+        H = _random_hypergraph(rng)
+        protected = frozenset({H.f_in, H.f_out})
+        result = condense(H, protected)
+        reference = oracles.two_path_condense(
+            H.vertices, H.edges, H.f_in, H.f_out, protected, budget
+        )
+        steps = tuple(map(_step, result.steps))
+        assert (result.status, steps, result.vertices, result.edges, result.path) == reference
+        statuses[result.status] += 1
+    assert min(statuses.values()) >= 100, statuses
 
 
 def test_condensation_steps_preserve_hitting_set():
@@ -226,7 +245,7 @@ def test_validate_inconclusive_over_budget():
     facts += [Fact(f"m{i}", "a", f"p{i}") for i in range(8)]
     facts.append(Fact("t_out", "a", "q"))
     g = PreGadget(GraphDB.from_facts(facts), "t_in", "t_out", "a")
-    report = validate_gadget(g, "aa", node_budget=16)
+    report = validate_gadget(g, "aa")
     assert report.status == "inconclusive"
     assert report.render().startswith("INCONCLUSIVE")
 
@@ -304,7 +323,7 @@ def test_vertex_cover_examples():
 def test_vertex_cover_cap():
     edges = [(f"a{i}", f"b{i}") for i in range(11)]
     with pytest.raises(ResourceCapError):
-        vertex_cover_bruteforce(edges, cap=20)
+        vertex_cover_bruteforce(edges)
 
 
 def test_vertex_cover_matches_bruteforce():
@@ -344,6 +363,19 @@ def test_roundtrip_single_edge():
     assert hardness_roundtrip("aa", AA, [("u", "v")])
     db = encode_graph([("u", "v")], AA, vertices=("u", "v"))
     assert resilience_exact(db, "aa").value == 1 + 1 * 2
+
+
+def test_roundtrip_enumerates_the_language_once(monkeypatch):
+    calls = []
+    real = automata.language_words
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(automata, "language_words", counting)
+    assert hardness_roundtrip("aa", AA, [("u", "v")])
+    assert len(calls) == 1
 
 
 def test_roundtrip_triangle():

@@ -48,6 +48,18 @@ def test_constructors_keep_the_facts_they_are_given():
     assert type(built) is Fact and built == ("v", "b", "w")
 
 
+def test_constructors_check_fact_fields():
+    # each field must be one token of the text format, so serialize_db
+    # writes what parse_db reads back
+    for facts in (
+        [("a b", "x", "c")], [(1, "y", 2), ("a", "b", "c")], [("a", "b")], ["abc"], [5]
+    ):
+        with pytest.raises(InputError, match="three fields"):
+            GraphDB.from_facts(facts)
+    with pytest.raises(InputError):
+        GraphDB.from_pairs({Fact("u", "a#", "v"): 2})
+
+
 def test_basic_accessors():
     db = db_of(("u", "a", "v"), ("v", "b", "w"), mults=(2, 5))
     assert db.mult(Fact("u", "a", "v")) == 2
