@@ -17,10 +17,12 @@ Epsilon is represented by the label ``None`` in memory and by the reserved
 token ``EPS`` in the text format.  A regex becomes Thompson's automaton with
 its epsilon moves contracted (`regex_to_epsnfa`), which has about a third
 of the states and is most often epsilon-free, so every analysis of the
-language starts from the smaller automaton.  The read-once envelope
-(`eps_nfa_to_ro`) is minimised with the same two contraction rules after
-letters with the same followers share their states; it is kept on the
-automaton, like the trim.
+language starts from the smaller automaton.  Locality is decided by one
+lazy search over the subsets each letter enters (`is_local_language`),
+with no envelope.  The read-once envelope (`eps_nfa_to_ro`), which the
+local solver's network is built on, is minimised with the same two
+contraction rules after letters with the same followers share their
+states; it is kept on the automaton, like the trim.
 """
 
 from __future__ import annotations
@@ -150,7 +152,12 @@ def _successor(after: dict, subset: frozenset, letter: str) -> frozenset:
 
 
 def _moves(after: dict, subset: frozenset) -> dict:
-    """Where a closed subset moves on each letter it can read."""
+    """Where a closed subset moves on each letter it can read.  A singleton
+    gets its state's own row of the tables, which callers must not
+    change."""
+    if len(subset) == 1:
+        (s,) = subset
+        return after.get(s, _NO_MOVES)
     parts: dict = {}
     for s in subset:
         for letter, targets in after.get(s, _NO_MOVES).items():
@@ -606,8 +613,8 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
     merged state keeps the name of the state it merged into.  Letters
     that no accepted word uses share one dead in-state and out-state.
 
-    The envelope is kept on A, outside the fields, so the locality test
-    and the local solver build it once.
+    The envelope is kept on A, outside the fields, so the local solver
+    builds it once per automaton.
     """
     found = vars(A).get("_envelope")
     if found is not None:
@@ -697,15 +704,75 @@ def eps_nfa_to_ro(A: EpsNFA) -> EpsNFA:
 def is_local_language(A: EpsNFA, state_cap: int = DEFAULT_STATE_CAP) -> bool:
     """Whether L(A) is a local language.
 
-    The read-once envelope always accepts a superset, so locality amounts
-    to the reverse inclusion.  The answer is kept on A, outside the fields,
-    so the classifier and the local solver test it once; a resource cap
-    keeps nothing.
+    L is local iff, for each letter a, every word ua that some word of L
+    extends leaves the same quotient (ua)^-1 L: in the trim DFA all states
+    that one letter enters are equivalent (Berstel and Pin, 1996).  So
+    `_entered_states_agree` decides it with no read-once envelope.  The
+    answer is kept on A, outside the fields, so the classifier and the
+    local solver test it once; a resource cap keeps nothing.
     """
     found = vars(A).get("_local")
     if found is None:
-        found = vars(A)["_local"] = is_subset(eps_nfa_to_ro(A), A, state_cap)
+        found = vars(A)["_local"] = _entered_states_agree(trim(A), state_cap)
     return found
+
+
+def _entered_states_agree(T: EpsNFA, state_cap: int) -> bool:
+    """Whether, for each letter, all subsets of the trim automaton T that
+    the letter enters from its start closure accept the same language.
+
+    In T every state is live, so a subset is live iff it is not empty, and
+    a letter missing from a subset's moves leads to the empty one.  The
+    walk over the subsets is lazy: each letter keeps the first subset it
+    enters, and every other subset it enters is checked against that one
+    by a search over pairs of subsets, shared by all checks, which stops
+    at the first pair where exactly one side is final or where one side
+    can read a letter that the other cannot.  On a DFA the subsets are
+    singletons.  The state cap counts the subsets whose moves were read.
+    """
+    start, after = T.tables
+    rows: dict = {}  # subset -> {letter -> successor subset}, on first use
+
+    def row(X: frozenset) -> dict:
+        moves = rows.get(X)
+        if moves is None:
+            if len(rows) >= state_cap:
+                raise ResourceCapError(
+                    f"locality test exceeded the {state_cap}-state cap"
+                )
+            moves = rows[X] = _moves(after, X)
+        return moves
+
+    paired: set = set()  # pairs of subsets whose search was started
+
+    def agree(X: frozenset, Y: frozenset) -> bool:
+        stack = [(X, Y)]
+        while stack:
+            X, Y = stack.pop()
+            if X.isdisjoint(T.final) != Y.isdisjoint(T.final):
+                return False
+            moves_x, moves_y = row(X), row(Y)
+            if moves_x.keys() != moves_y.keys():
+                return False
+            for letter, X2 in moves_x.items():
+                Y2 = moves_y[letter]
+                if X2 != Y2 and (X2, Y2) not in paired:
+                    paired.add((X2, Y2))
+                    stack.append((X2, Y2))
+        return True
+
+    first: dict = {}  # letter -> the first subset it enters
+    stack = [start] if start else []
+    while stack:
+        for letter, Y in row(stack.pop()).items():
+            X = first.setdefault(letter, Y)
+            if X != Y and (X, Y) not in paired:
+                paired.add((X, Y))
+                if not agree(X, Y):
+                    return False
+            if Y not in rows:
+                stack.append(Y)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -312,19 +312,65 @@ def match_known_hard(language: Iterable[Word]) -> Optional[dict]:
 # the pipeline
 
 
+def repeated_letter_word(D: EpsNFA) -> Optional[Word]:
+    """The least word, in sorted order, of the finite language of a trim
+    DFA that reads some letter twice, or None.
+
+    Per letter x, a depth-first search in sorted letter order over pairs
+    (state, how often x was read, capped at 2) meets the least word that
+    reads x twice first: the DFA is acyclic, so a pair met again was left
+    before without a find.  It reads no word list, so it answers past the
+    enumeration cap.
+    """
+    delta = {
+        s: sorted((a, t) for a, (t,) in moves.items())
+        for s, moves in D.tables.after.items()
+    }
+    least = None
+    for x in sorted(D.alphabet):
+        seen = set()
+        word = []  # the letters read down to the top of the stack
+        stack = [(s, 0, iter(delta.get(s, ()))) for s in D.initial]
+        while stack:
+            s, count, moves = stack[-1]
+            step = next(moves, None)
+            if step is None:
+                stack.pop()
+                if word:
+                    word.pop()
+                continue
+            a, t = step
+            pair = (t, min(count + (a == x), 2))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            word.append(a)
+            if pair[1] == 2 and t in D.final:
+                found = tuple(word)
+                if least is None or found < least:
+                    least = found
+                break
+            stack.append((*pair, iter(delta.get(t, ()))))
+    return least
+
+
+def _repeated_letter_verdict(w: Word) -> Verdict:
+    repeat = lang.has_repeated_letter(w)
+    witness = {
+        "kind": "repeated-letter",
+        "word": lang.render_word(w),
+        "letter": repeat.letter,
+        "before": lang.render_word(repeat.before),
+        "gap": lang.render_word(repeat.gap),
+        "after": lang.render_word(repeat.after),
+    }
+    return Verdict(NP_HARD, None, "repeated letter", witness)
+
+
 def _finite_verdict(words: frozenset, reduced: EpsNFA, state_cap: int) -> Verdict:
     for w in sorted(words):
-        repeat = lang.has_repeated_letter(w)
-        if repeat is not None:
-            witness = {
-                "kind": "repeated-letter",
-                "word": lang.render_word(w),
-                "letter": repeat.letter,
-                "before": lang.render_word(repeat.before),
-                "gap": lang.render_word(repeat.gap),
-                "after": lang.render_word(repeat.after),
-            }
-            return Verdict(NP_HARD, None, "repeated letter", witness)
+        if lang.has_repeated_letter(w) is not None:
+            return _repeated_letter_verdict(w)
 
     legs = four_legged_witness(reduced, state_cap)
     if legs is not None:
@@ -424,9 +470,15 @@ def analyse(
             verdict = Verdict(PTIME, "local", "local language", None)
             return Analysis(verdict, reduced, None)
         if automata.is_finite_language(reduced):
-            words = frozenset(
-                automata.language_words(reduced, state_cap=state_cap)
-            )
+            try:
+                words = frozenset(
+                    automata.language_words(reduced, state_cap=state_cap)
+                )
+            except ResourceCapError:
+                repeat = repeated_letter_word(reduced)
+                if repeat is None:
+                    raise
+                return Analysis(_repeated_letter_verdict(repeat), reduced, None)
             verdict = _finite_verdict(words, reduced, state_cap)
             return Analysis(verdict, reduced, words)
         verdict = _infinite_verdict(A, reduced, state_cap)

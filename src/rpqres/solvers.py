@@ -276,12 +276,13 @@ def resilience_local(
     """Min-cut solver for local languages.
 
     The network pairs database nodes with states of the minimal read-once
-    envelope of the automaton.  The envelope and the locality test are
-    kept on the automaton, so a call on the reduced DFA that the
-    classifier tested reuses both and does not test again.  Each
-    fact yields one capacity-mult edge along the unique transition
-    carrying its label; epsilon transitions, source attachments to initial
-    states and target attachments from final states are unbounded.
+    envelope of the automaton.  The locality answer is kept on the
+    automaton, so a call on the reduced DFA that the classifier tested
+    does not test again; the envelope is built here, once per automaton,
+    and kept on it too.  Each fact yields one capacity-mult edge along the
+    unique transition carrying its label; epsilon transitions, source
+    attachments to initial states and target attachments from final
+    states are unbounded.
     Letters with the same followers share their states, so for ``ax*b``
     each node gets one vertex and there is no epsilon transition; in
     general no state is both entered and left by one, so epsilon moves

@@ -261,6 +261,12 @@ def included(A, B) -> bool:
     return True
 
 
+def reference_is_local(A) -> bool:
+    """Whether L(A) is local: the read-once envelope always accepts a
+    superset of L(A), so locality is the reverse inclusion."""
+    return included(reference_envelope(A), A)
+
+
 def _phased(A, bridges, alphabet) -> Fields:
     """Two copies of A (phase 0 and 1) plus the given bridge transitions,
     which go from phase 0 states to phase 1 states; a word is accepted

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,6 +402,54 @@ def test_local_language_detection():
     assert is_local_language(A("ax*b"))
     assert not is_local_language(A("ab|bc"))
     assert is_local_language(A("ab|ad|cd"))
+
+
+def _fresh(m):
+    """The same automaton without the tables and answers kept on m."""
+    return automata.EpsNFA(m.states, m.initial, m.final, m.transitions, m.alphabet)
+
+
+def _locality_inputs():
+    """Criterion 09's random regexes with their reductions, determinizations
+    and envelopes, and random word lists, some holding the empty word."""
+    rng = random.Random(97)
+    for _ in range(400):
+        m = A(_random_regex(rng, 4))
+        yield from (m, reduce_regular(m), determinize(m), eps_nfa_to_ro(m))
+    for _ in range(300):
+        words = {
+            tuple(rng.choice("abc") for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 4))
+        }
+        yield words_to_nfa(words)
+
+
+def test_locality_matches_the_envelope_inclusion():
+    inputs = locals_seen = 0
+    for m in _locality_inputs():
+        inputs += 1
+        local = is_local_language(_fresh(m))
+        assert local == oracles.reference_is_local(m), m
+        locals_seen += local
+    assert inputs == 4 * 400 + 300
+    assert 0 < locals_seen < inputs
+
+
+def test_locality_reads_the_whole_start_closure():
+    # the start closure holds the a-loop, the state before c|b and the
+    # final state: no single start state stands for it
+    m = A("a*(c|b)|~")
+    assert len(m.tables.start) == 3 and not automata.is_deterministic(m)
+    assert is_local_language(m) == oracles.reference_is_local(m)
+
+
+def test_locality_stops_before_determinizing():
+    # determinizing first meets 2^18 subsets; the search stops at the
+    # first pair of a-states that tell a word apart
+    m = A("(a|b)*a" + "(a|b)" * 17)
+    started = time.perf_counter()
+    assert not is_local_language(m)
+    assert time.perf_counter() - started < 0.1
 
 
 # the fixed languages of the benchmark's lang-small workload

@@ -308,6 +308,35 @@ def test_classify_repeated_letter():
         assert verdict.witness["kind"] == "repeated-letter"
 
 
+def test_repeated_letter_word_is_the_least_enumerated_one():
+    rng = random.Random(303)
+    checked = 0
+    for _ in range(400):
+        reduced = reduce_regular(automaton_for(_random_regex(rng, 4, "abcd~")))
+        if not is_finite_language(reduced):
+            continue
+        repeating = [w for w in language_words(reduced) if len(set(w)) < len(w)]
+        assert classifier.repeated_letter_word(reduced) == min(repeating, default=None)
+        checked += bool(repeating)
+    assert checked > 20
+
+
+def test_classify_repeated_letter_past_the_word_cap():
+    # the reduction a(a|b)^14 has 2^14 words, over the enumeration cap
+    verdict = c("(a|b)*a" + "(a|b)" * 14)
+    assert (verdict.status, verdict.reason) == (NP_HARD, "repeated letter")
+    assert verdict.witness == {
+        "kind": "repeated-letter", "word": "a" * 15, "letter": "a",
+        "before": "~", "gap": "~", "after": "a" * 13,
+    }
+    # 7^5 words that repeat no letter, and one more so that the language
+    # is not local: the cap stays unknown
+    groups = ["(" + "|".join(f"[{g}{k}]" for k in range(7)) + ")" for g in "pqrst"]
+    verdict = c("".join(groups) + "|[p0][r0]")
+    assert verdict.status == UNKNOWN
+    assert verdict.reason == "resource cap: word enumeration exceeded the 10000-word cap"
+
+
 def test_classify_four_legged():
     verdict = c("axb|cxd")
     assert verdict.status == NP_HARD

@@ -408,7 +408,7 @@ def test_resilience_builds_the_envelope_once(monkeypatch):
     monkeypatch.setattr(automata, "eps_nfa_to_ro", counting)
     db = graphdb.parse_db("u a v\nv x w\nw b z\n")
     assert solvers.resilience(db, "ax*b").value == 1
-    assert len(built) == 1  # the locality test's, read again by the solver
+    assert len(built) == 1  # the solver's: the locality test builds none
 
 
 def chain_text(length, low_at):
@@ -935,9 +935,13 @@ def test_databases_are_not_kept_alive():
     "language, method", [("ax*b", "local"), ("ab|bc", "bcl"), ("abc|be", "submod")]
 )
 def test_resilience_analyses_the_language_once(language, method, monkeypatch):
-    """One reduction, at most one enumeration and one locality test: the
-    local solver reads the classifier's answer off the reduced DFA."""
-    calls = {"reduce_regular": 0, "language_words": 0, "is_subset": 0}
+    """One reduction, at most one enumeration and one locality search: the
+    local solver reads the classifier's answer off the reduced DFA, and
+    only the local solver builds a read-once envelope."""
+    calls = {
+        "reduce_regular": 0, "language_words": 0,
+        "_entered_states_agree": 0, "eps_nfa_to_ro": 0,
+    }
     for name in calls:
 
         def counting(*args, _real=getattr(automata, name), _name=name, **kwargs):
@@ -949,7 +953,8 @@ def test_resilience_analyses_the_language_once(language, method, monkeypatch):
     assert solvers.resilience(db, language).method == method
     assert calls["reduce_regular"] == 1
     assert calls["language_words"] <= 1
-    assert calls["is_subset"] == 1
+    assert calls["_entered_states_agree"] == 1
+    assert calls["eps_nfa_to_ro"] == (1 if method == "local" else 0)
 
 
 def test_resilience_runs_the_bcl_analysis_once(monkeypatch):
