@@ -728,7 +728,10 @@ def _entered_states_agree(T: EpsNFA, state_cap: int) -> bool:
     by a search over pairs of subsets, shared by all checks, which stops
     at the first pair where exactly one side is final or where one side
     can read a letter that the other cannot.  On a DFA the subsets are
-    singletons.  The state cap counts the subsets whose moves were read.
+    singletons.  The walk keeps its own set of reached subsets: a pair
+    search reads the moves of subsets that the walk must still visit, to
+    check the letters they read against each letter's first subset.  The
+    state cap counts the subsets whose moves were read.
     """
     start, after = T.tables
     rows: dict = {}  # subset -> {letter -> successor subset}, on first use
@@ -762,6 +765,7 @@ def _entered_states_agree(T: EpsNFA, state_cap: int) -> bool:
         return True
 
     first: dict = {}  # letter -> the first subset it enters
+    seen = {start}  # subsets the walk has reached; rows may hold more
     stack = [start] if start else []
     while stack:
         for letter, Y in row(stack.pop()).items():
@@ -770,7 +774,8 @@ def _entered_states_agree(T: EpsNFA, state_cap: int) -> bool:
                 paired.add((X, Y))
                 if not agree(X, Y):
                     return False
-            if Y not in rows:
+            if Y not in seen:
+                seen.add(Y)
                 stack.append(Y)
     return True
 

@@ -260,6 +260,22 @@ def test_automaton_is_local():
     assert run("automaton", "--is-local", "ax*b").output == "true\n"
 
 
+def test_automaton_is_local_ignores_hash_seeds():
+    # a enters two equivalent states (after a and after ba, or xa); the
+    # letter read behind them enters a state unlike the first one it
+    # enters elsewhere, whichever state is walked first
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    for regex in ("acd|bacd|de", "abcd|xabcd|ce"):
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "rpqres.cli", "automaton", "--is-local",
+                 regex],
+                env=env, capture_output=True, check=True,
+            )
+            assert done.stdout == b"false\n", (regex, seed)
+
+
 def test_automaton_needs_exactly_one_mode():
     result = run("automaton", "ab")
     assert result.exit_code == 2
