@@ -10,19 +10,23 @@ target 1, and stores edge ``k`` as the residual slots ``2k`` (forward)
 and ``2k + 1`` (reverse): one array of slot ends, one of capacities.
 ``add_edge`` numbers the ends of one edge at a time.  The product-network
 builder in ``solvers`` reaches the useful part of a product, merges its
-attachments into the terminals, numbers the vertices itself and writes
-all its edges in one private call.  ``min_cut`` reads those arrays
-directly.  Infinite capacities become one more than the sum of the finite
-ones, so a reach along such slots alone decides whether any finite cut
-exists; when one does, no flow can saturate them.  Dinic's algorithm then
-levels the vertices per phase by their residual distance to the target,
-found by a BFS backward from the target that stops once it reaches the
-source, and finds a blocking flow by a depth-first search from the source
-that steps only one level closer to the target each time.  The search
-keeps an explicit path stack and a per-vertex slot pointer, so nothing
-recurses in proportion to path length, and a vertex it has to leave drops
-out of the phase.  Each vertex lists its forward slots before its reverse
-ones.
+attachments into the terminals, contracts the unbounded arcs that leave
+the cut no choice, numbers the vertices itself and writes all its edges
+in one private call.  ``min_cut`` reads those arrays directly.  Infinite
+capacities become one more than the sum of the finite ones, so a reach
+along such slots alone decides whether any finite cut exists; when one
+does, no flow can saturate them.  Flow is first pushed along every
+two-slot path from the source through one vertex to the target, which is
+where most product-network paths run once the builder has contracted its
+unbounded arcs; any feasible flow is a valid start.  Dinic's algorithm
+then levels the vertices per phase by their residual distance to the
+target, found by a BFS backward from the target that stops once it
+reaches the source, and finds a blocking flow by a depth-first search
+from the source that steps only one level closer to the target each
+time.  The search keeps an explicit path stack and a per-vertex slot
+pointer, so nothing recurses in proportion to path length, and a vertex
+it has to leave drops out of the phase.  Each vertex lists its forward
+slots before its reverse ones.
 
 The returned cut is the set of edges leaving the vertices reachable from
 the source in the final residual graph.  That set is the source side of
@@ -129,6 +133,9 @@ def min_cut(network: FlowNetwork) -> CutResult:
 
     Value INF (with an empty index tuple) means the source reaches the
     target through infinite-capacity edges alone, so no finite cut exists.
+    Otherwise each slot out of the source first sends what it can
+    through the slots into the target out of its head, and Dinic's phases
+    augment that flow to a maximum one.
     """
     ends, caps = network._ends, network._caps
     unbounded = sum(c for c in caps if c != INF) + 1
@@ -144,7 +151,28 @@ def min_cut(network: FlowNetwork) -> CutResult:
     if _residual_reach(out, ends, cap, unbounded)[1]:
         return CutResult(INF, ())
 
+    # pre-push along every two-slot path source -> v -> target; pointer[v]
+    # moves past each slot out of v once it is full or if it leads elsewhere
     value = 0
+    pointer = [0] * n
+    for slot in out[0]:
+        v = ends[slot]
+        slots = out[v]
+        i = pointer[v]
+        while cap[slot] and i < len(slots):
+            after = slots[i]
+            if ends[after] == 1 and cap[after]:
+                sent = cap[slot] if cap[slot] < cap[after] else cap[after]
+                cap[slot] -= sent
+                cap[slot ^ 1] += sent
+                cap[after] -= sent
+                cap[after ^ 1] += sent
+                value += sent
+                if cap[after]:
+                    break
+            i += 1
+        pointer[v] = i
+
     while True:
         # residual distance to the target: slot s leads from v to w, and its
         # partner s ^ 1 from w into v, so the partner's capacity counts

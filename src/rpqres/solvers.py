@@ -212,6 +212,19 @@ def _reach_network(roles, starts, moves):
     target 1 and the rest 2, 3, ... in that order.  The edge order thus
     follows the reach, not the database; the value and the cut facts do
     not depend on it.
+
+    Two rules contract the unbounded arcs that give the cut no choice, as
+    ``automata.regex_to_epsnfa`` contracts epsilon moves.  Rule 1, in the
+    forward reach: a pair met for the first time whose only arc out is
+    unbounded gets the vertex of that arc's head (``_unbounded_chain``),
+    and an arc whose head gets its own tail's vertex is not filed.
+    Rule 2, in the backward reach: a vertex other than the target whose
+    only filed arc in is unbounded gives its number to that arc's tail,
+    if the tail has none yet, and the tail's arcs in are written next.  An
+    arc whose ends share a number is not written: no cut crosses a
+    self-loop.  Both rules are exact: no finite cut separates the ends of
+    such an arc from the side the arc forces, and moving the free end
+    across never raises a cut or changes its edges.
     """
     seen = [{} for _ in roles]  # per layer: node -> reached vertex, 0 if dead
     into: list[list] = [[], []]  # per reached vertex: (tail, arc) per arc into it
@@ -225,11 +238,15 @@ def _reach_network(roles, starts, moves):
                 w = ids.get(arc[1])
                 if w is None:
                     onward = moves[arc[0]](arc[1])
-                    w = ids[arc[1]] = len(into) if onward else 0
-                    if w:
+                    if not onward:
+                        w = ids[arc[1]] = 0
+                    elif onward[0][2] is None and len(onward) == 1:
+                        w = _unbounded_chain(ids, arc[1], onward[0], roles, seen, moves, into, stack)
+                    else:
+                        w = ids[arc[1]] = len(into)
                         into.append([])
                         stack.append((w, onward))
-            if w:
+            if w and w != v:
                 into[w].append((v, arc))
 
     number = [0, 1] + [-1] * (len(into) - 2)
@@ -238,12 +255,22 @@ def _reach_network(roles, starts, moves):
     heads = [1]
     while heads:
         head = heads.pop()
-        for tail, (_, _, facts, m) in into[head]:
-            if number[tail] < 0:
-                number[tail] = len(vertices) + 2
+        h = number[head]
+        arcs = into[head]
+        # rule 2: a lone unbounded arc in merges a tail not yet met into it
+        while (len(arcs) == 1 and arcs[0][1][2] is None and h != 1
+               and number[arcs[0][0]] < 0):
+            number[arcs[0][0]] = h
+            arcs = into[arcs[0][0]]
+        for tail, (_, _, facts, m) in arcs:
+            t = number[tail]
+            if t < 0:
+                t = number[tail] = len(vertices) + 2
                 vertices.append(tail)
                 heads.append(tail)
-            ends += (number[head], number[tail])
+            elif t == h:
+                continue  # no cut crosses a self-loop
+            ends += (h, t)
             if facts is None:
                 caps.append(INF)
             else:
@@ -252,6 +279,41 @@ def _reach_network(roles, starts, moves):
     net = flow.FlowNetwork("source", "target")
     net._add_numbered(vertices, ends, caps)
     return net, tag
+
+
+def _unbounded_chain(ids, node, arc, roles, seen, moves, into, stack) -> int:
+    """Rule 1 of ``_reach_network``: the vertex of ``node``, a pair met
+    for the first time in the layer whose map is ``ids``, whose only arc
+    out is the unbounded ``arc``.  It is the vertex of the arc's head,
+    found by following such pairs to the first one that is not: a
+    terminal, a pair met before, or a new pair numbered and pushed as
+    ``_reach_network`` does.  A cycle of such pairs has no way out and is
+    dead (0).  Every pair on the chain is recorded under the vertex found.
+    """
+    chain = [(ids, node)]
+    ids[node] = -1  # on the chain being followed
+    while True:
+        w = roles[arc[0]]
+        if w < 0:
+            ids = seen[arc[0]]
+            w = ids.get(arc[1])
+            if w is None:
+                onward = moves[arc[0]](arc[1])
+                if onward and onward[0][2] is None and len(onward) == 1:
+                    chain.append((ids, arc[1]))
+                    ids[arc[1]] = -1
+                    arc = onward[0]
+                    continue
+                w = len(into) if onward else 0
+                if w:
+                    into.append([])
+                    stack.append((w, onward))
+                ids[arc[1]] = w
+            elif w < 0:
+                w = 0  # round a cycle
+        for ids, node in chain:
+            ids[node] = w
+        return w
 
 
 def _cut_facts(net, tag) -> tuple[int, frozenset]:
@@ -400,21 +462,26 @@ def _bcl_cut(db: GraphDB, words: frozenset, source_side) -> ResilienceAnswer:
     # at its tail
     entries = db.entries
     steps: dict = {x: [] for x in letters}  # letter -> (layer, facts by node, forward)
-    by_tail: dict = {x: {} for x in letters}
-    by_head: dict = {}
+    by_tail: dict = {}  # letter a forward step enters -> its facts by tail
+    by_head: dict = {}  # letter a backward step enters -> its facts by head
     for w in long_words:
         forward = w[0] in source_side
         for x, y in zip(w, w[1:]):
             if x in layers and y in layers:
                 if forward:
-                    steps[x].append((layers[y][0], by_tail[y], True))
+                    steps[x].append((layers[y][0], by_tail.setdefault(y, {}), True))
                 else:
                     steps[y].append((layers[x][0], by_head.setdefault(x, {}), False))
+    at_source = {x for x in letters if layers[x][0] == 0}
+    start_facts = []  # the facts whose start is attached to the source
     for j, (fact, _) in enumerate(entries):
-        if fact.label in by_tail:
-            by_tail[fact.label].setdefault(fact.tail, []).append(j)
-            if fact.label in by_head:
-                by_head[fact.label].setdefault(fact.head, []).append(j)
+        label = fact.label
+        if label in by_tail:
+            by_tail[label].setdefault(fact.tail, []).append(j)
+        if label in by_head:
+            by_head[label].setdefault(fact.head, []).append(j)
+        if label in at_source:
+            start_facts.append(j)
 
     def fact_edge(j):
         fact, m = entries[j]
@@ -435,8 +502,7 @@ def _bcl_cut(db: GraphDB, words: frozenset, source_side) -> ResilienceAnswer:
         return arcs
 
     roles, moves = [0, -1, 1, -1], [fact_edge, fact_edge, steps_on, steps_on]
-    starts = [arc for x in letters if layers[x][0] == 0
-              for js in by_tail[x].values() for j in js for arc in fact_edge(j)]
+    starts = [arc for j in start_facts for arc in fact_edge(j)]
     value, contingency = _cut_facts(*_reach_network(roles, starts, moves))
     return ResilienceAnswer(forced_cost + value, forced | contingency, "bcl")
 

@@ -245,6 +245,55 @@ def test_min_cut_agrees_with_networkx():
     assert finite >= 15
 
 
+def test_pre_push_agrees_with_networkx():
+    """Networks dense in two-edge paths s -> v -> t, which the pre-push
+    fills before the first phase: a source edge shared by several target
+    edges, parallel edges, an unbounded edge on either side of v, and v
+    on longer paths too."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2028)
+    seen = dict.fromkeys(("shared", "parallel", "unbounded", "longer", "finite cut"), 0)
+    for _ in range(300):
+        middle = [f"v{i}" for i in range(rng.randint(1, 8))]
+        inner = middle + [f"w{i}" for i in range(rng.randint(0, 5))]
+        edges = []
+        for v in middle:
+            for end in ("s", "t"):
+                for _ in range(rng.randint(1, 3)):
+                    cap = flow.INF if rng.random() < 0.08 else rng.randint(1, 9)
+                    edges.append(("s", v, cap) if end == "s" else (v, "t", cap))
+        for _ in range(rng.randint(0, 10)):
+            tail, head = rng.choice(["s", *inner]), rng.choice([*inner, "t"])
+            edges.append((tail, head, flow.INF if rng.random() < 0.3 else rng.randint(1, 9)))
+        rng.shuffle(edges)
+        net = network_of(edges)
+        cut = flow.min_cut(net)
+        assert cut == reference_min_cut(net), edges
+
+        outs = {v: [h for t, h, _ in edges if t == v] for v in middle}
+        pairs = [(tail, head) for tail, head, _ in edges]
+        seen["shared"] += any(outs[v].count("t") > 1 for v in middle)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["unbounded"] += any(
+            c == flow.INF and (tail == "s" or head == "t") and {tail, head} & set(middle)
+            for tail, head, c in edges
+        )
+        seen["longer"] += any(h != "t" for v in middle for h in outs[v])
+        try:
+            value, reached = residual_side(nx, edges, "s", "t")
+        except nx.NetworkXUnbounded:
+            assert math.isinf(cut.value)
+            continue
+        seen["finite cut"] += 1
+        assert cut.value == value
+        assert cut.edge_indices == tuple(
+            i
+            for i, (tail, head, _) in enumerate(edges)
+            if tail in reached and head not in reached
+        )
+    assert min(seen.values()) >= 100, seen
+
+
 def test_min_cut_deterministic():
     rng = random.Random(7)
     edges = random_network(rng)

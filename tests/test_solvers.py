@@ -6,6 +6,7 @@ their own (the contingency really falsifies the query at the stated
 cost).
 """
 
+import collections
 import gc
 import math
 import random
@@ -565,6 +566,143 @@ def test_product_network_merges_attachments_exactly():
     assert finite >= 150
 
 
+def spy_on_unbounded_chains(monkeypatch) -> list:
+    """The list that every call of rule 1 adds where its chain ends:
+    "dead", "target" or "vertex"."""
+    ends = []
+    real = solvers._unbounded_chain
+
+    def spy(*args):
+        w = real(*args)
+        ends.append("dead" if w == 0 else "target" if w == 1 else "vertex")
+        return w
+
+    monkeypatch.setattr(solvers, "_unbounded_chain", spy)
+    return ends
+
+
+@pytest.mark.parametrize("language, method, text, ends", [
+    # the epsilon move after an x fact enters the initial state: dropped
+    ("x*ab|xx*c", "local", "u x v\nv a w\nw b z\nv x q\nq c r\n", ["dead"]),
+    # after an a fact with no b fact on, the epsilon move enters the d
+    # fact's vertex, which a c fact may have reached first
+    ("ab|ad|cd", "local", "u a v\nv d w\nw a x\nx b y\n", ["vertex"]),
+    ("ab|ad|cd", "local", "p c v\nu a v\nv d w 2\n", ["vertex"]),
+    # u a v's end steps to one b fact, which no c fact follows: dead; the
+    # ends of p a q, q b r and s d t step to one fact start each, two of
+    # them to r c s's
+    ("abc|cd", "bcl", "u a v\nv b w\np a q\nq b r\nr c s\ns d t\n",
+     ["dead", "vertex", "vertex", "vertex"]),
+])
+def test_lone_unbounded_arcs_out_keep_the_answer(language, method, text, ends, monkeypatch):
+    """Rule 1 of ``_reach_network`` through the solvers: a pair whose
+    only arc out is unbounded takes the vertex that arc leads to, or dies
+    with it.  The envelope never lets an epsilon move enter a final state
+    or another epsilon move, so chains into the target or round a cycle
+    are met by direct builder calls below."""
+    seen = spy_on_unbounded_chains(monkeypatch)
+    db = graphdb.parse_db(text)
+    solve = solvers.resilience_local if method == "local" else solvers.resilience_bcl
+    answer = solve(db, language)
+    assert sorted(seen) == sorted(ends)
+    assert answer.value == oracles.brute_resilience(db, automaton_for(language))
+    check_answer(db, language, answer)
+
+
+def test_lone_unbounded_arcs_out_contract_in_the_builder(monkeypatch):
+    """A pair whose only arc out is unbounded merges into the target
+    attachment it leads to, into a pair met before or into a new one
+    that the chain numbers, and dies when it leads into a source
+    attachment, into a pair with no arc out, or round a cycle of such
+    pairs; no arc into a dead pair is kept, and the cut has the
+    uncontracted network's value."""
+    seen = spy_on_unbounded_chains(monkeypatch)
+    chain = {  # layer 2 (inner) node -> its arcs out; layer 1 is the target's
+        "p": [(1, "t", None, None)],
+        "q": [(2, "r", ("f3",), 5)],
+        "r": [(1, "t", None, None)],
+        "c1": [(2, "c2", None, None)],
+        "c2": [(2, "c1", None, None)],
+        "c3": [(2, "c3", None, None)],
+        "d": [(0, "s2", None, None)],
+        "e": [(2, "e2", None, None)],
+        "g": [(2, "h", None, None)],
+        "h": [(2, "k", None, None)],
+        "k": [(1, "t", ("f10",), 1)],
+        "m": [(2, "n", None, None)],
+        "n": [(1, "t", ("f12",), 3)],
+    }
+    heads = {"f1": "p", "f2": "q", "f4": "c1", "f5": "c3", "f6": "d", "f7": "e",
+             "f9": "k", "f8": "g", "f11": "m"}
+    mults = {"f1": 2}
+    starts = [(2, head, (f,), mults.get(f, 1)) for f, head in heads.items()]
+    net, tag = solvers._reach_network([0, 1, -1], starts, [{}.get, {}.get, chain.get])
+    # one call per chain: c1 -> c2 -> c1, c3, d and e are dead, p and r
+    # end in the target, g -> h -> k and m -> n at a vertex
+    assert sorted(seen) == ["dead"] * 4 + ["target"] * 2 + ["vertex"] * 2
+    # left: s -> t (f1), s -> q -> t (f2, f3), s -> k twice (f9, f8),
+    # k -> t (f10), s -> n -> t (f11, f12)
+    assert (len(net._index), len(net._caps)) == (5, 8)
+    assert math.inf not in net._caps
+    assert sorted(facts for facts in tag.values()) == [
+        ("f1",), ("f10",), ("f11",), ("f12",), ("f2",), ("f3",), ("f8",), ("f9",)
+    ]
+    cut = flow.min_cut(net)
+    assert cut.value == 5
+    assert {f for i in cut.edge_indices for f in tag[i]} == {"f1", "f2", "f10", "f11"}
+    unmerged = [("s", head, mults.get(f, 1)) for f, head in heads.items()] + [
+        (tail, "t" if layer == 1 else "s" if layer == 0 else head, math.inf if m is None else m)
+        for tail, arcs in chain.items() for layer, head, _, m in arcs
+    ]
+    assert oracles.brute_min_cut_value(unmerged, "s", "t") == 5
+
+    # the source keeps a lone unbounded arc out: only other vertices merge
+    net, tag = solvers._reach_network([0, 1, -1], [(2, "k", None, None)], [{}.get, {}.get, chain.get])
+    assert (net.edges, tag) == ([flow.Edge(2, "target", 1), flow.Edge("source", 2, math.inf)], {0: ("f10",)})
+    assert flow.min_cut(net) == flow.CutResult(1, (0,))
+
+
+def test_long_chain_of_lone_unbounded_arcs_merges_in_linear_time():
+    """Rule 1 follows a chain of pairs whose only arc out is unbounded
+    once, in a loop: 30,000 of them take a fraction of a second and
+    merge into the chain's end, where a recursion would overflow the
+    stack."""
+    length = 30_000
+    chain = {k: [(2, k + 1, None, None)] for k in range(length)}
+    chain[length] = [(1, "t", ("f1",), 3)]
+    net, tag = solvers._reach_network([0, 1, -1], [(2, 0, ("f0",), 2)], [{}.get, {}.get, chain.get])
+    assert (len(net._index), len(net._caps)) == (3, 2)
+    assert flow.min_cut(net) == flow.CutResult(2, (1,))
+
+
+def test_lone_unbounded_arcs_in_merge_in_the_prune():
+    """Rule 2 of ``_reach_network``: a vertex whose only arc in is
+    unbounded takes in that arc's tail, unless it is the target, and the
+    edges that the merge turns into self-loops are dropped."""
+    # T's only arc into X is unbounded, and X has a fact edge back to T
+    out = {
+        "T": [(2, "X", None, None), (2, "Z", ("f4",), 2)],
+        "X": [(2, "T", ("f2",), 1), (1, "t", ("f3",), 1)],
+        "Z": [(1, "t", ("f5",), 3)],
+    }
+    net, tag = solvers._reach_network([0, 1, -1], [(2, "T", ("f1",), 5)], [{}.get, {}.get, out.get])
+    # left: s -> X (f1), X -> t (f3), X -> Z (f4), Z -> t (f5)
+    assert (len(net._index), len(net._caps)) == (4, 4)
+    assert sorted(tag.values()) == [("f1",), ("f3",), ("f4",), ("f5",)]
+    cut = flow.min_cut(net)
+    assert (cut.value, {f for i in cut.edge_indices for f in tag[i]}) == (3, {"f3", "f4"})
+
+    # the target's only arc in is unbounded: its tail keeps its own vertex,
+    # so no edge leaves the target
+    out = {"T": [(1, "t", None, None), (2, "Y", ("f2",), 1)], "Y": [(2, "T", ("f3",), 1)]}
+    net, tag = solvers._reach_network([0, 1, -1], [(2, "T", ("f1",), 4)], [{}.get, {}.get, out.get])
+    assert (len(net._index), len(net._caps)) == (4, 4)
+    assert all(e.tail != net.target for e in net.edges)
+    assert {v for e in net.edges for v in e[:2]} <= on_some_path(net)
+    cut = flow.min_cut(net)
+    assert (cut.value, {f for i in cut.edge_indices for f in tag[i]}) == (4, {"f1"})
+
+
 def test_networks_meet_the_terminals_by_fact_edges_only(monkeypatch):
     """Attachments merge into the terminals: no edge enters the source or
     leaves the target, none of the unbounded attachment edges is left, and
@@ -618,8 +756,12 @@ def test_bcl_network_size_is_pinned(monkeypatch):
     # forward from an a fact to a b fact at its head, bc backward from a c
     # fact to a b fact at its tail.  p a q and q c z meet no b fact, so six
     # facts remain: three ends of a and c facts and three starts of b
-    # facts, six fact edges and four unbounded ones
-    assert (len(net._index), len(net._caps)) == (8, 10)
+    # facts, six fact edges and four unbounded ones (8 vertices, 10
+    # edges).  The ends of w c x and s c t each step to one b fact only,
+    # so each merges into that fact's start (rule 1); the start of v b y
+    # is entered from the end of u a v only, which merges into it (rule 2)
+    # and keeps its step to v b w's start: one unbounded edge is left
+    assert (len(net._index), len(net._caps)) == (5, 7)
 
 
 def test_submod_network_size_is_pinned(monkeypatch):
@@ -844,24 +986,53 @@ REFERENCE_CASES = [  # (language, letters, how it is solved, reference network)
 ]
 
 
-def as_multigraph(net, tag):
-    """A networkx multigraph of ``net``: each vertex marked source, target
-    or inner, each edge labelled by its capacity and its facts."""
-    nx = pytest.importorskip("networkx")
-    G = nx.MultiDiGraph()
-    G.add_nodes_from((v, {"role": min(v, 2)}) for v in range(len(net._index)))
+def contracted(net, tag) -> tuple[list, list]:
+    """The classes of ``net``'s vertices and its edges between them, as
+    ``(tail, head, (capacity, facts))``, once every unbounded edge that is
+    the only edge out of an inner vertex or the only edge into one has
+    merged that vertex into its other end, until none is left, and
+    self-loops are dropped.  Both merges are exact; they are the two
+    rules of the product-network builder, applied to a fixpoint."""
     ends = net._ends
-    G.add_edges_from(
-        (ends[2 * k + 1], ends[2 * k], {"label": (cap, tag.get(k))})
-        for k, cap in enumerate(net._caps)
-    )
+    edges = [(ends[2 * k + 1], ends[2 * k], (cap, tag.get(k))) for k, cap in enumerate(net._caps)]
+    into = list(range(len(net._index)))  # vertex -> the vertex it merged into
+
+    def find(v):
+        while into[v] != v:
+            v = into[v]
+        return v
+
+    while True:
+        edges = [(t, h, label) for t, h, label in ((find(t), find(h), label) for t, h, label in edges) if t != h]
+        outs = collections.Counter(t for t, _, _ in edges)
+        ins = collections.Counter(h for _, h, _ in edges)
+        for t, h, (cap, _) in edges:
+            if cap == math.inf and t > 1 and outs[t] == 1:
+                into[t] = h
+                break
+            if cap == math.inf and h > 1 and ins[h] == 1:
+                into[h] = t
+                break
+        else:
+            return sorted({find(v) for v in range(len(into))}), edges
+
+
+def as_multigraph(net, tag):
+    """A networkx multigraph of ``net`` contracted: each class of vertices
+    marked source, target or inner, each edge labelled by its capacity
+    and its facts."""
+    nx = pytest.importorskip("networkx")
+    vertices, edges = contracted(net, tag)
+    G = nx.MultiDiGraph()
+    G.add_nodes_from((v, {"role": min(v, 2)}) for v in vertices)
+    G.add_edges_from((t, h, {"label": label}) for t, h, label in edges)
     return G
 
 
 def same_network(net, tag, ref_net, ref_tag) -> bool:
-    """Whether the networks are equal up to a renumbering of vertices that
-    fixes the source and the target: edges map one to one onto edges of
-    the same capacity and facts."""
+    """Whether the networks are equal, once contracted, up to a
+    renumbering of vertices that fixes the source and the target: edges
+    map one to one onto edges of the same capacity and facts."""
     iso = pytest.importorskip("networkx.algorithms.isomorphism")
     return iso.is_isomorphic(
         as_multigraph(net, tag), as_multigraph(ref_net, ref_tag),
@@ -872,8 +1043,9 @@ def same_network(net, tag, ref_net, ref_tag) -> bool:
 
 @pytest.mark.parametrize("language, letters, method, reference", REFERENCE_CASES)
 def test_reach_builder_matches_the_whole_product(language, letters, method, reference, monkeypatch):
-    """Every reduction's network is the reference's up to a renumbering
-    of vertices that fixes the source and the target, and has the
+    """Every reduction's network is no larger than the reference's, is
+    the reference's once both are contracted, up to a renumbering of
+    vertices that fixes the source and the target, and has the
     reference's min-cut value and cut facts."""
     min_cut = flow.min_cut
     real_reach_network = solvers._reach_network
@@ -908,7 +1080,7 @@ def test_reach_builder_matches_the_whole_product(language, letters, method, refe
         assert got.value == want.value + sum(db.mult(f) for f in forced)
         assert got.contingency == want_facts | forced
         [net], [tag] = networks, tags
-        assert (len(net._index), len(net._caps)) == (len(ref_net._index), len(ref_net._caps))
+        assert len(net._index) <= len(ref_net._index) and len(net._caps) <= len(ref_net._caps)
         assert same_network(net, tag, ref_net, ref_tag), db.entries
         unbounded += math.inf in ref_net._caps
     # the epsilon moves of x*ab|xx*c enter an initial state and those of
@@ -925,6 +1097,27 @@ def test_databases_are_not_kept_alive():
     del db
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("language, method", [
+    ("ax*b", "local"), ("ab|bc", "bcl"), ("abc|be", "submod"), ("aa", "exact"),
+    ("b(aa)*d", "exact"),
+])
+def test_no_call_leaves_a_reference_cycle(language, method):
+    """Reference counting alone frees what ``resilience`` and ``classify``
+    build: a cycle would keep each call's network until the cyclic
+    collector runs, which raises the peak memory of a long run."""
+    db = graphdb.parse_db(
+        "u a v\nv x v\nv b w\nw c x\nw e y\nx a u\nv a q\nq a r\nr d s\np b v\n"
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        assert solvers.resilience(db, language).method == method
+        classifier.classify(language)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
