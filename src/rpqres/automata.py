@@ -27,11 +27,11 @@ states; it is kept on the automaton, like the trim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from . import lang
 from .errors import InputError, ResourceCapError
+from .frozen import Frozen
 from .lang import Word
 
 EPS = None
@@ -52,25 +52,26 @@ class Tables(NamedTuple):
 _NO_MOVES: dict = {}
 
 
-@dataclass(frozen=True)
-class EpsNFA:
-    states: frozenset
-    initial: frozenset
-    final: frozenset
-    transitions: frozenset
-    alphabet: frozenset = field(default=frozenset())
+class EpsNFA(Frozen):
+    """The alphabet holds at least the letters the transitions read."""
 
-    def __post_init__(self):
-        if not self.initial <= self.states or not self.final <= self.states:
+    _fields = ("states", "initial", "final", "transitions", "alphabet")
+
+    def __init__(
+        self, states: frozenset, initial: frozenset, final: frozenset,
+        transitions: frozenset, alphabet: frozenset = frozenset(),
+    ):
+        if not initial <= states or not final <= states:
             raise InputError("initial/final states must belong to the state set")
         used = set()
-        for src, label, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
+        for src, label, dst in transitions:
+            if src not in states or dst not in states:
                 raise InputError(f"transition {(src, label, dst)!r} leaves the state set")
             if label is not None:
                 used.add(label)
-        if not used <= self.alphabet:
-            object.__setattr__(self, "alphabet", self.alphabet | frozenset(used))
+        if not used <= alphabet:
+            alphabet = alphabet | used
+        vars(self).update(zip(self._fields, (states, initial, final, transitions, alphabet)))
 
     @property
     def tables(self) -> Tables:

@@ -12,7 +12,6 @@ DFA.  Anything that matches no criterion is reported UNKNOWN, never guessed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from . import automata, lang
@@ -25,20 +24,24 @@ NP_HARD = "NP_HARD"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     status: str
     method: Optional[str]
     reason: str
     witness: Optional[dict]
 
-    def __post_init__(self):
-        if self.status not in (PTIME, NP_HARD, UNKNOWN):
-            raise InputError(f"bad verdict status {self.status!r}")
-        if self.status == PTIME and self.method is None:
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, status, method, reason, witness):
+        if status not in (PTIME, NP_HARD, UNKNOWN):
+            raise InputError(f"bad verdict status {status!r}")
+        if status == PTIME and method is None:
             raise InputError("a PTIME verdict must name its solver method")
-        if self.status == NP_HARD and self.witness is None:
+        if status == NP_HARD and witness is None:
             raise InputError("an NP_HARD verdict must carry a witness")
+        return tuple.__new__(cls, (status, method, reason, witness))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ the cut does not depend on the order in which augmenting paths are found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import InputError
@@ -53,8 +52,7 @@ class Edge(NamedTuple):
     capacity: Capacity
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(NamedTuple):
     value: Capacity
     edge_indices: tuple[int, ...]
 

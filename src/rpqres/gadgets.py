@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import automata, graphdb, lang, solvers
 from .errors import InputError, ResourceCapError
@@ -27,26 +26,30 @@ NODE_BUDGET = 16
 VC_CAP = 20
 
 
-@dataclass(frozen=True)
-class PreGadget:
+class _PreGadgetFields(NamedTuple):
     db: GraphDB
     t_in: str
     t_out: str
     label: str
 
-    def __post_init__(self):
-        if self.t_in == self.t_out:
+
+class PreGadget(_PreGadgetFields):
+    __slots__ = ()
+
+    def __new__(cls, db, t_in, t_out, label):
+        if t_in == t_out:
             raise InputError("t_in and t_out must be distinct")
-        nodes = self.db.adom()
-        if self.t_in not in nodes or self.t_out not in nodes:
+        nodes = db.adom()
+        if t_in not in nodes or t_out not in nodes:
             raise InputError("t_in and t_out must occur in the database")
-        for fact, mult in self.db.entries:
+        for fact, mult in db.entries:
             if mult != 1:
                 raise InputError("a pre-gadget database uses set semantics")
-            if fact.head in (self.t_in, self.t_out):
+            if fact.head in (t_in, t_out):
                 raise InputError(
                     f"{fact.head} occurs as the head of {fact.render()}"
                 )
+        return tuple.__new__(cls, (db, t_in, t_out, label))
 
 
 def _fresh_node(base: str, used) -> str:
@@ -73,19 +76,23 @@ def completion(g: PreGadget) -> tuple[GraphDB, Fact, Fact]:
 # the hypergraph of matches
 
 
-@dataclass(frozen=True)
-class MatchHypergraph:
+class _HypergraphFields(NamedTuple):
     vertices: frozenset  # facts
     edges: frozenset  # frozensets of facts
-    f_in: Optional[Fact] = None
-    f_out: Optional[Fact] = None
+    f_in: Optional[Fact]
+    f_out: Optional[Fact]
 
-    def __post_init__(self):
-        for e in self.edges:
+
+class MatchHypergraph(_HypergraphFields):
+    __slots__ = ()
+
+    def __new__(cls, vertices, edges, f_in=None, f_out=None):
+        for e in edges:
             if not e:
                 raise InputError("hyperedges must be non-empty")
-            if not e <= self.vertices:
+            if not e <= vertices:
                 raise InputError("hyperedges must stay within the vertex set")
+        return tuple.__new__(cls, (vertices, edges, f_in, f_out))
 
     def incident(self, v) -> frozenset:
         return frozenset(e for e in self.edges if v in e)
@@ -108,8 +115,7 @@ def build_match_hypergraph(
 # condensation
 
 
-@dataclass(frozen=True)
-class CondensationStep:
+class CondensationStep(NamedTuple):
     """One rule application; before/after states let audits replay it."""
 
     rule: str  # "edge-domination" or "node-domination"
@@ -121,8 +127,7 @@ class CondensationStep:
     edges_after: frozenset
 
 
-@dataclass(frozen=True)
-class CondensationResult:
+class CondensationResult(NamedTuple):
     status: str  # "path", "exhausted", or "budget"
     steps: tuple
     vertices: frozenset
@@ -273,8 +278,7 @@ def condense(
 # validation
 
 
-@dataclass(frozen=True)
-class GadgetReport:
+class GadgetReport(NamedTuple):
     status: str  # "valid", "invalid", or "inconclusive"
     odd_path_length: Optional[int]
     steps: tuple

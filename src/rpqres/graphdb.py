@@ -12,12 +12,12 @@ time.  Sums computed later use Python integers, which do not overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .automata import EpsNFA, reach
 from .errors import InputError
+from .frozen import Frozen
 from .lang import Word
 
 MAX_MULT = 2**64 - 1
@@ -38,9 +38,11 @@ class Fact(NamedTuple):
         return f"{self.tail} {self.label} {self.head}"
 
 
-@dataclass(frozen=True)
-class GraphDB:
-    entries: tuple  # sorted ((fact, mult), ...)
+class GraphDB(Frozen):
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple):  # sorted ((fact, mult), ...)
+        vars(self)["entries"] = entries
 
     @classmethod
     def from_pairs(cls, pairs) -> "GraphDB":
@@ -299,20 +301,24 @@ def witness_walk(prod: Product, removed: int = 0) -> Optional[tuple[Fact, ...]]:
 # matches
 
 
-@dataclass(frozen=True)
-class Match:
+class _MatchFields(NamedTuple):
+    facts: frozenset
+    walk: tuple
+
+
+class Match(_MatchFields):
     """The fact set of a query-witnessing walk.
 
     Several walks can use the same fact set; one representative walk is
     kept for reporting.
     """
 
-    facts: frozenset
-    walk: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.facts:
+    def __new__(cls, facts, walk):
+        if not facts:
             raise InputError("a match must use at least one fact")
+        return tuple.__new__(cls, (facts, walk))
 
 
 def enumerate_matches(db: GraphDB, language: Iterable[Word]) -> list[Match]:

@@ -16,10 +16,10 @@ shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError
+from .frozen import Frozen
 
 Word = tuple[str, ...]
 FiniteLanguage = frozenset  # of Word
@@ -157,8 +157,7 @@ def has_repeated_letter(word: Word) -> Optional[RepeatedLetter]:
 # regular expressions
 
 
-@dataclass(frozen=True)
-class Regex:
+class Regex(Frozen):
     """Base class for regex syntax-tree nodes.
 
     Equality, hashing and repr walk the tree with an explicit stack, so
@@ -190,34 +189,40 @@ class Regex:
         return _regex_fold(self, show)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class REmpty(Regex):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class REpsilon(Regex):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RLetter(Regex):
-    letter: str
+    __slots__ = _fields = ("letter",)
+
+    def __init__(self, letter: str):
+        object.__setattr__(self, "letter", letter)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RConcat(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Regex, ...]):
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RUnion(Regex):
-    parts: tuple[Regex, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Regex, ...]):
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RStar(Regex):
-    inner: Regex
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: Regex):
+        object.__setattr__(self, "inner", inner)
 
 
 def regex_children(r: Regex) -> tuple[Regex, ...]:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from . import automata, classifier, flow, graphdb, lang
 from .automata import EpsNFA
@@ -32,21 +31,25 @@ DEFAULT_EXACT_CAP = 22
 LanguageSpec = Union[str, lang.Regex, EpsNFA, Iterable[Word]]
 
 
-@dataclass(frozen=True)
-class ResilienceAnswer:
-    """value is an int, or math.inf with no contingency set."""
-
+class _AnswerFields(NamedTuple):
     value: Union[int, float]
     contingency: Optional[frozenset]
     method: str
 
-    def __post_init__(self):
-        infinite = isinstance(self.value, float) and math.isinf(self.value)
-        if infinite != (self.contingency is None):
+
+class ResilienceAnswer(_AnswerFields):
+    """value is an int, or math.inf with no contingency set."""
+
+    __slots__ = ()
+
+    def __new__(cls, value, contingency, method):
+        infinite = isinstance(value, float) and math.isinf(value)
+        if infinite != (contingency is None):
             raise InputError(
                 "a resilience answer is infinite exactly when it has"
                 " no contingency set"
             )
+        return tuple.__new__(cls, (value, contingency, method))
 
 
 # ---------------------------------------------------------------------------

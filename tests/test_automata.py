@@ -55,6 +55,23 @@ def test_regex_acceptance():
     assert not accepts(ab, wd("axa"))
 
 
+def test_automaton_validation():
+    states, stray = frozenset({0, 1}), frozenset({(0, "a", 1), (1, "b", 2)})
+    with pytest.raises(InputError, match="leaves the state set"):
+        automata.EpsNFA(states, frozenset({0}), frozenset({1}), stray)
+    with pytest.raises(InputError, match="leaves the state set"):
+        automata.EpsNFA(
+            states=states, initial=frozenset({0}), final=frozenset({1}), transitions=stray
+        )
+    with pytest.raises(InputError, match="must belong to the state set"):
+        automata.EpsNFA(states, frozenset({2}), frozenset({1}), frozenset())
+    m = automata.EpsNFA(
+        states, frozenset({0}), frozenset({1}), frozenset({(0, "a", 1), (1, None, 0)}),
+        alphabet=frozenset("c"),
+    )
+    assert m.alphabet == frozenset("ac")  # the letters read join the alphabet
+
+
 def test_regex_to_epsnfa_numbers_states_in_preorder():
     r = lang.RConcat((lang.RLetter("a"), lang.RStar(lang.RLetter("b"))))
     m = automata.regex_to_epsnfa(r)

@@ -49,10 +49,15 @@ def c(text):
 
 
 def test_verdict_validation():
-    with pytest.raises(InputError):
-        Verdict(PTIME, None, "x", None)  # tractable needs a method
-    with pytest.raises(InputError):
-        Verdict(NP_HARD, None, "x", None)  # hardness needs a witness
+    for status, method, witness, message in (
+        ("SLOW", "local", None, "bad verdict status"),
+        (PTIME, None, None, "must name its solver"),  # tractable needs a method
+        (NP_HARD, None, None, "must carry a witness"),  # hardness needs a witness
+    ):
+        with pytest.raises(InputError, match=message):
+            Verdict(status, method, "x", witness)
+        with pytest.raises(InputError, match=message):
+            Verdict(status=status, method=method, reason="x", witness=witness)
 
 
 # ---------------------------------------------------------------------------

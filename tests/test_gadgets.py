@@ -1,6 +1,5 @@
 """Gadget validation: hypergraphs, condensation, encodings, round-trips."""
 
-import dataclasses
 import json
 import random
 
@@ -49,8 +48,10 @@ def test_builtin_catalog():
 
 def test_pregadget_validation():
     db = GraphDB.from_facts([Fact("t_in", "a", "n1")])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="distinct"):
         PreGadget(db, "t_in", "t_in", "a")  # endpoints must differ
+    with pytest.raises(InputError, match="distinct"):
+        PreGadget(db=db, t_in="t_in", t_out="t_in", label="a")
     with pytest.raises(InputError):
         PreGadget(db, "t_in", "zzz", "a")  # t_out outside the domain
     with pytest.raises(InputError):
@@ -93,10 +94,14 @@ def test_aa_hypergraph_shape():
 
 def test_hypergraph_validation():
     f = Fact("u", "a", "v")
-    with pytest.raises(InputError):
-        MatchHypergraph(frozenset({f}), frozenset({frozenset()}))
-    with pytest.raises(InputError):
-        MatchHypergraph(frozenset(), frozenset({frozenset({f})}))
+    for vertices, edges, message in (
+        (frozenset({f}), frozenset({frozenset()}), "non-empty"),
+        (frozenset(), frozenset({frozenset({f})}), "within the vertex set"),
+    ):
+        with pytest.raises(InputError, match=message):
+            MatchHypergraph(vertices, edges)
+        with pytest.raises(InputError, match=message):
+            MatchHypergraph(vertices=vertices, edges=edges, f_in=f)
 
 
 def test_incident():
@@ -144,7 +149,11 @@ def test_edge_domination_drops_supersets():
 
 
 def _step(step) -> tuple:
-    return tuple(getattr(step, f.name) for f in dataclasses.fields(step))
+    return (
+        step.rule, step.removed, step.dominator,
+        step.vertices_before, step.edges_before,
+        step.vertices_after, step.edges_after,
+    )
 
 
 def test_edge_domination_in_one_pass_matches_the_restarting_scan():

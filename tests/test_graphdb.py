@@ -40,6 +40,15 @@ def test_multiplicity_refuses_bools():
             GraphDB.from_pairs({("a", "x", "b"): flag})
 
 
+def test_a_match_needs_a_fact():
+    with pytest.raises(InputError, match="at least one fact"):
+        graphdb.Match(frozenset(), ())
+    with pytest.raises(InputError, match="at least one fact"):
+        graphdb.Match(facts=frozenset(), walk=())
+    fact = Fact("u", "a", "v")
+    assert graphdb.Match(walk=(fact,), facts=frozenset({fact})).walk == (fact,)
+
+
 def test_constructors_keep_the_facts_they_are_given():
     fact = Fact("u", "a", "v")
     assert GraphDB.from_facts([fact]).entries[0][0] is fact

@@ -45,6 +45,16 @@ def random_db(rng, letters, max_facts=7, max_nodes=5, max_mult=3):
     return GraphDB.from_pairs(pool)
 
 
+def test_an_answer_is_infinite_exactly_without_a_contingency_set():
+    fact = Fact("u", "a", "v")
+    for value, contingency in ((math.inf, frozenset({fact})), (1, None)):
+        with pytest.raises(InputError, match="exactly when"):
+            solvers.ResilienceAnswer(value, contingency, "exact")
+        with pytest.raises(InputError, match="exactly when"):
+            solvers.ResilienceAnswer(value=value, contingency=contingency, method="exact")
+    assert solvers.ResilienceAnswer(math.inf, None, "exact").contingency is None
+
+
 # ---------------------------------------------------------------------------
 # exhaustive solver
 
