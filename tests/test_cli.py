@@ -8,15 +8,15 @@ import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 
 import rpqres
+from cli_harness import invoke, same_as_click
 from rpqres import gadgets
 from rpqres.cli import main
 
 
 def run(*args, stdin=None):
-    return CliRunner().invoke(main, list(args), input=stdin)
+    return same_as_click(args, stdin)
 
 
 def write(path, text):
@@ -74,14 +74,12 @@ def test_classify_bad_regex_exit_code():
 def test_classify_deeply_nested_regex():
     result = run("classify", "(" * 600 + "a" + ")" * 600)
     assert result.exit_code == 0, result.output
-    assert result.exception is None
     assert result.output == "PTIME (local)\n"
 
 
 def test_classify_deep_concatenation():
     result = run("classify", "(" * 600 + "a" + "b)" * 600)
     assert result.exit_code == 0, result.output
-    assert result.exception is None
     assert result.output == "NP-hard (repeated letter)\n"
 
 
@@ -158,7 +156,6 @@ def test_resilience_long_chain():
         for i, label in enumerate(labels)
     )
     result = run("resilience", "--json", "ax*b", "-", stdin=text)
-    assert result.exception is None
     assert result.exit_code == 0
     assert json.loads(result.output) == {
         "value": 3,
@@ -207,7 +204,6 @@ def test_matches_long_word(tmp_path):
     write(db, "".join(f"n{i} a n{i + 1}\n" for i in range(n)))
     result = run("matches", "--words", str(words), str(db))
     assert result.exit_code == 0, result.output
-    assert result.exception is None
     assert result.output.count("|") == n - 1
     assert result.output.startswith("n0 a n1 | n1 a n2 |")
 
@@ -253,6 +249,70 @@ def test_lang_db_argument_errors(tmp_path, command):
     result = run(command, "a(", missing)
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ") and missing not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "--bogus", "ab"], "unrecognized arguments: --bogus"),
+        (
+            ["resilience", "--solver", "fast", "ab", "-"],
+            "argument --solver: invalid choice: 'fast' (choose from 'auto',"
+            " 'local', 'bcl', 'submod', 'exact')",
+        ),
+        (
+            ["frobnicate", "ab"],
+            "argument COMMAND: invalid choice: 'frobnicate' (choose from"
+            " 'classify', 'resilience', 'validate-gadget', 'encode', 'matches',"
+            " 'automaton')",
+        ),
+        ([], "missing command"),
+        (["encode", "triangle.graph"], "expected GRAPH and GADGET arguments"),
+    ],
+    ids=["unknown option", "bad choice", "unknown command", "no command", "encode"],
+)
+def test_usage_errors_are_one_error_line(args, message):
+    result = invoke(main, args)
+    assert result == (2, "", f"error: {message}\n")
+
+
+def test_bare_command_is_a_usage_error():
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "rpqres.cli"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: missing command\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--help"], ["-h"]] + [[name, "--help"] for name in (
+        "classify", "resilience", "validate-gadget", "encode", "matches", "automaton",
+    )],
+)
+def test_help_goes_to_stdout(args):
+    result = invoke(main, args)
+    assert result.exit_code == 0 and result.stderr == ""
+    command = "[-h] COMMAND" if args[0].startswith("-") else args[0]
+    assert result.stdout.startswith(f"usage: rpqres {command}")
+
+
+def test_closed_output_pipe_exits_quietly(tmp_path):
+    # the reader stops after a few bytes of a long listing
+    db = tmp_path / "chain.db"
+    write(db, "".join(f"n{i} a n{i + 1}\n" for i in range(20_000)))
+    src = os.path.dirname(os.path.dirname(rpqres.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "rpqres.cli", "matches", "a", str(db)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.read(8) == b"n0 a n1\n"
+        process.stdout.close()
+        assert process.stderr.read() == b""
+        assert process.wait(timeout=60) == 1
 
 
 def test_automaton_is_local():

@@ -144,11 +144,16 @@ def test_regex_nodes_of_every_kind_are_frozen():
 
 def test_importing_the_package_loads_no_code_generators():
     # dataclasses imports inspect, ast, dis and tokenize, and compiles
-    # methods for every class it decorates: none of it is needed to start
+    # methods for every class it decorates: none of it is needed to start;
+    # nor is click, which imports inspect too, to parse a command line
     src = os.path.dirname(os.path.dirname(rpqres.__file__))
-    script = "import sys, rpqres; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
-    )
-    assert done.stdout.split() == []
+    for module in ("rpqres", "rpqres.cli"):
+        script = (
+            f"import sys, {module}; "
+            "print(*{'dataclasses', 'inspect', 'click'} & set(sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.split() == [], module
